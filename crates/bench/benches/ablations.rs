@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for the solver's main design choices:
 //! best-response damping, the localization grid size, solver tolerance,
 //! and the extension substrates (duopoly inner equilibrium, continuum
 //! quadrature).

@@ -12,7 +12,7 @@ use subcomp_core::nash::WarmStart;
 use subcomp_core::workspace::SolveWorkspace;
 use subcomp_exp::figures::{fig10, fig11, fig4, fig5, fig7, fig8, fig9, panel};
 use subcomp_exp::scenarios::section5_system;
-use subcomp_exp::sweep::{EqGrid, GridContext, GridSolver};
+use subcomp_exp::sweep::{ContinuationSolver, EqGrid, GridContext};
 
 fn bench_section3_figures(c: &mut Criterion) {
     let mut g = c.benchmark_group("figures/section3");
@@ -86,7 +86,7 @@ fn bench_section5_figures(c: &mut Criterion) {
 }
 
 /// Tracks the continuation win itself as a trajectory point: the same
-/// 3×9 grid solved through the [`GridSolver`] continuation engine
+/// 3×9 grid solved through the [`ContinuationSolver`] continuation engine
 /// (`continuation`) versus point-by-point cold solves of the *same*
 /// solver configuration on the same reused workspace (`cold`). The ratio
 /// of the two ids is the warm-start speedup — committed to
@@ -99,7 +99,7 @@ fn bench_panel_warm_vs_cold(c: &mut Criterion) {
     let system = section5_system();
     let qs = [0.0, 0.5, 2.0];
     let prices: Vec<f64> = (0..9).map(|k| 0.1 + 0.2375 * k as f64).collect();
-    let solver = GridSolver::default();
+    let solver = ContinuationSolver::default();
     g.bench_function("continuation", |b| {
         let mut ctx = GridContext::new(&system);
         let mut grid = EqGrid::empty();

@@ -5,9 +5,13 @@
 //! `s_i > v_i` (a subsidy above the per-unit profit burns money on every
 //! byte), the search interval shrinks to `[0, min(q, v_i)]` without loss.
 //!
-//! Each utility evaluation requires re-solving the congestion fixed point;
-//! a coarse grid scan localizes the maximum (corner solutions at both ends
-//! are *expected* equilibria per Theorem 3), then Brent polishing refines
+//! Each utility evaluation requires re-solving the congestion fixed point.
+//! The Nash solvers iterate the Theorem 3 threshold engine
+//! (`best_response_threshold_into`): a root of the analytic marginal
+//! utility. The grid scan ([`best_response`]) is the robust fallback for
+//! profiles the threshold engine declines and the public reference: a
+//! coarse scan localizes the maximum (corner solutions at both ends are
+//! *expected* equilibria per Theorem 3), then Brent polishing refines
 //! interior candidates.
 
 use crate::game::SubsidyGame;
@@ -28,7 +32,7 @@ pub struct BestResponse {
     pub evaluations: usize,
 }
 
-/// Configuration for best-response searches.
+/// Configuration for the grid-scan best-response search.
 #[derive(Debug, Clone, Copy)]
 pub struct BrConfig {
     /// Grid points for the localization scan.
@@ -181,11 +185,11 @@ pub(crate) fn grid_br_core<O: BrObjective>(obj: O, cfg: &BrConfig) -> NumResult<
 /// Returns `Ok(None)` when the observed signs do not match the single-
 /// crossing structure (non-finite probes, a non-exponential family
 /// violating the assumptions numerically) — the caller falls back to the
-/// robust grid-scan engine, so enabling this path can never *wrongly*
+/// robust grid-scan engine, so this path can never *wrongly*
 /// answer, only decline. Agrees with [`best_response_into`] to the shared
-/// root tolerance (~1e-12) at interior optima and exactly at corners;
-/// it is not bit-identical (different probe sequence), which is why the
-/// solvers only use it behind an explicit opt-in.
+/// root tolerance (~1e-12) at interior optima and exactly at corners; it
+/// is not bit-identical (different probe sequence). This is the best
+/// response every Nash solver iterates.
 pub(crate) fn best_response_threshold_into(
     game: &SubsidyGame,
     i: usize,
@@ -195,7 +199,7 @@ pub(crate) fn best_response_threshold_into(
     scratch: &mut StateScratch,
 ) -> NumResult<Option<BestResponse>> {
     if game.validate(s).is_err() {
-        return Err(NumError::NonFinite { what: "threshold_br profile", at: 0.0 });
+        return Err(NumError::NonFinite { what: "threshold best-response profile", at: 0.0 });
     }
     game.populations_for(s, m);
     threshold_br_core(GameBrObjective { game, i, m, scratch }, hint)

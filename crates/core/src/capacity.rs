@@ -7,8 +7,8 @@
 //! maximize long-run profit `R(p*(µ, q), µ) − c·µ` against a linear
 //! capacity cost `c`, with CPs at their subsidy equilibrium throughout.
 //!
-//! The headline experiment (`EXPERIMENTS.md`, E2): the optimal capacity
-//! `µ*(q)` grows with the policy cap `q` — deregulated subsidization
+//! The headline experiment (E2 of `subcomp_exp::extensions`): the optimal
+//! capacity `µ*(q)` grows with the policy cap `q` — deregulated subsidization
 //! funds expansion — and expansion relieves exactly the congestion-
 //! sensitive providers that short-run deregulation hurt.
 

@@ -147,20 +147,6 @@ impl SubsidyGame {
         Ok(())
     }
 
-    /// Returns a copy at a different ISP price (same cap and system).
-    pub fn with_price(&self, price: f64) -> NumResult<SubsidyGame> {
-        let mut game = self.clone();
-        game.set_price(price)?;
-        Ok(game)
-    }
-
-    /// Returns a copy under a different policy cap.
-    pub fn with_cap(&self, cap: f64) -> NumResult<SubsidyGame> {
-        let mut game = self.clone();
-        game.set_cap(cap)?;
-        Ok(game)
-    }
-
     /// Sets the ISP capacity `µ` in place — the `µ`-axis counterpart of
     /// [`SubsidyGame::set_price`]/[`SubsidyGame::set_cap`], with the same
     /// no-rebuild, zero-allocation guarantee: the write lands on the
@@ -188,24 +174,6 @@ impl SubsidyGame {
         patches: impl IntoIterator<Item = (usize, ContentProvider)>,
     ) -> NumResult<()> {
         self.system.patch_cps(patches)
-    }
-
-    /// Returns a copy at a different ISP capacity (same price, cap and
-    /// providers) — a shim over the in-place [`SubsidyGame::set_mu`].
-    pub fn with_mu(&self, mu: f64) -> NumResult<SubsidyGame> {
-        let mut game = self.clone();
-        game.set_mu(mu)?;
-        Ok(game)
-    }
-
-    /// Returns a copy with provider `i`'s profitability replaced — the
-    /// Theorem 5 experiment knob. A shim over the in-place
-    /// [`SubsidyGame::set_profitability`]: the system (and its precompiled
-    /// kernel) is cloned once, never rebuilt.
-    pub fn with_profitability(&self, i: usize, v: f64) -> NumResult<SubsidyGame> {
-        let mut game = self.clone();
-        game.set_profitability(i, v)?;
-        Ok(game)
     }
 
     /// The underlying physical system.
@@ -498,8 +466,8 @@ mod tests {
     use subcomp_model::aggregation::{build_system, ExpCpSpec};
     use subcomp_num::diff::derivative;
 
-    /// The paper's §5 setting: 8 types, alpha/beta in {2,5}, v in {0.5, 1}.
-    pub(crate) fn paper_section5_game(p: f64, q: f64) -> SubsidyGame {
+    /// The paper's §5 types: alpha/beta in {2,5}, v in {0.5, 1}.
+    fn section5_specs() -> Vec<ExpCpSpec> {
         let mut specs = Vec::new();
         for &v in &[0.5, 1.0] {
             for &alpha in &[2.0, 5.0] {
@@ -508,7 +476,12 @@ mod tests {
                 }
             }
         }
-        SubsidyGame::new(build_system(&specs, 1.0).unwrap(), p, q).unwrap()
+        specs
+    }
+
+    /// The paper's §5 setting: the 8 types at µ = 1.
+    pub(crate) fn paper_section5_game(p: f64, q: f64) -> SubsidyGame {
+        SubsidyGame::new(build_system(&section5_specs(), 1.0).unwrap(), p, q).unwrap()
     }
 
     #[test]
@@ -615,17 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn with_price_and_cap_roundtrip() {
-        let g = paper_section5_game(0.5, 1.0);
-        let g2 = g.with_price(0.9).unwrap();
-        assert_eq!(g2.price(), 0.9);
-        assert_eq!(g2.cap(), 1.0);
-        let g3 = g.with_cap(0.3).unwrap();
-        assert_eq!(g3.cap(), 0.3);
-        assert_eq!(g3.price(), 0.5);
-    }
-
-    #[test]
     fn set_price_and_cap_mutate_in_place() {
         let mut g = paper_section5_game(0.5, 1.0).with_clamped_price(true);
         g.set_price(0.9).unwrap();
@@ -633,7 +595,7 @@ mod tests {
         assert_eq!(g.price(), 0.9);
         assert_eq!(g.cap(), 0.3);
         // Clamping convention and system are untouched; results agree with
-        // the cloning constructors on the same (p, q).
+        // a game constructed at the same (p, q).
         let rebuilt = paper_section5_game(0.9, 0.3).with_clamped_price(true);
         let s = vec![0.1; 8];
         assert_eq!(g.state(&s).unwrap(), rebuilt.state(&s).unwrap());
@@ -642,16 +604,6 @@ mod tests {
         // Failed sets leave the game unchanged.
         assert_eq!(g.price(), 0.9);
         assert_eq!(g.cap(), 0.3);
-    }
-
-    #[test]
-    fn with_profitability_changes_only_v() {
-        let g = paper_section5_game(0.5, 1.0);
-        let g2 = g.with_profitability(0, 2.0).unwrap();
-        assert_eq!(g2.profitability(0), 2.0);
-        assert_eq!(g2.profitability(1), g.profitability(1));
-        assert!(g.with_profitability(99, 1.0).is_err());
-        assert!(g.with_profitability(0, -0.5).is_err());
     }
 
     #[test]
@@ -667,10 +619,11 @@ mod tests {
         // Failed sets leave the game unchanged.
         assert_eq!(g.system().mu(), 2.0);
         assert_eq!(g.profitability(0), 0.5);
-        // The mutated game agrees with cloning constructors on the same
+        // The mutated game agrees with a rebuild on the same
         // parameterization, state for state.
-        let rebuilt =
-            paper_section5_game(0.5, 1.0).with_mu(2.0).unwrap().with_profitability(3, 1.7).unwrap();
+        let mut specs = section5_specs();
+        specs[3].v = 1.7;
+        let rebuilt = SubsidyGame::new(build_system(&specs, 2.0).unwrap(), 0.5, 1.0).unwrap();
         let s = vec![0.2; 8];
         assert_eq!(g.state(&s).unwrap(), rebuilt.state(&s).unwrap());
         assert_eq!(g.utilities(&s).unwrap(), rebuilt.utilities(&s).unwrap());

@@ -11,17 +11,14 @@
 //! again — while iteration continues until the active mask is empty.
 //!
 //! **Equivalence contract.** Per lane, the solver is *bit-identical* to
-//! `NashSolver::default().with_threshold_br(true)` solving that lane's
-//! game from [`crate::nash::WarmStart::Zero`]: the probe sequences are the
+//! `NashSolver::default()` solving that lane's game from
+//! [`crate::nash::WarmStart::Zero`]: the probe sequences are the
 //! literal shared engine bodies, the φ-solves mirror the scalar kernel
 //! expression-for-expression, and the population cache holds exactly the
 //! bits `populations_for` would recompute (`exp` is pure). Lanes never
 //! read each other's slices, so results are independent of how a batch is
 //! blocked into lanes and of which thread solves which block — the
-//! bit-identity contracts `tests/lane_equivalence.rs` pins. Against the
-//! *default* grid-scan solver the agreement is that of the threshold
-//! engine: exact at corner equilibria, ~1e-9 at interior ones (the
-//! documented `threshold_br` tolerance; see `tests/README.md`).
+//! bit-identity contracts `tests/lane_equivalence.rs` pins.
 //!
 //! One deliberate difference from the scalar solver: sweep exhaustion
 //! does not abort the batch. A lane that fails to converge (or whose
@@ -484,7 +481,7 @@ mod tests {
         let converged = LaneSolver::default().solve_into(&lane_game, &mut lw);
         assert_eq!(converged, games.len());
 
-        let scalar = NashSolver::default().with_threshold_br(true);
+        let scalar = NashSolver::default();
         let mut ws = SolveWorkspace::new();
         for (l, g) in games.iter().enumerate() {
             let stats = scalar.solve_into(g, WarmStart::Zero, &mut ws).unwrap();
@@ -539,7 +536,7 @@ mod tests {
         let lane_game = LaneGame::from_games(&refs).unwrap();
         let mut lw = LaneWorkspace::new();
         LaneSolver::default().solve_into(&lane_game, &mut lw);
-        let scalar = NashSolver::default().with_threshold_br(true);
+        let scalar = NashSolver::default();
         let mut want = SolveWorkspace::new();
         let mut got = SolveWorkspace::new();
         for (l, g) in games.iter().enumerate() {

@@ -1,5 +1,12 @@
 //! Nash equilibrium solvers (Definition 3) by iterated best response.
 //!
+//! Each best response is the Theorem 3 threshold
+//! `s_i* = min{τ_i, min(q, v_i)}`: a root of the analytic marginal utility
+//! seeded at the current iterate. A provider whose marginal does not show
+//! the single-crossing structure falls back to the grid-scan search for
+//! that one response, so the solver can decline the fast path but never
+//! answer wrongly.
+//!
 //! The primary solver sweeps providers **Gauss–Seidel** style (each best
 //! response immediately visible to the next provider), optionally damped;
 //! a **Jacobi** sweep (simultaneous responses) is available as an
@@ -117,17 +124,9 @@ pub struct NashSolver {
     pub tol: f64,
     /// Maximum sweeps.
     pub max_sweeps: usize,
-    /// Inner best-response configuration.
+    /// Grid-scan configuration for the best responses the threshold
+    /// engine declines.
     pub br: BrConfig,
-    /// Use the Theorem 3 threshold best response (marginal-utility root
-    /// finding seeded at the current iterate) instead of the grid-scan
-    /// search. Roughly 3x fewer fixed-point solves per sweep under
-    /// continuation; answers agree with the grid scan to root tolerance
-    /// (~1e-12) but are **not bit-identical**, so the default stays
-    /// `false` and the grid engines opt in explicitly. Any provider whose
-    /// marginal structure does not match the single-crossing assumption
-    /// silently falls back to the grid scan for that best response.
-    pub threshold_br: bool,
 }
 
 impl Default for NashSolver {
@@ -138,7 +137,6 @@ impl Default for NashSolver {
             tol: 1e-9,
             max_sweeps: 600,
             br: BrConfig::default(),
-            threshold_br: false,
         }
     }
 }
@@ -150,28 +148,24 @@ impl NashSolver {
         self
     }
 
-    /// Returns a copy with damping `ω ∈ (0, 1]`.
+    /// Returns a copy with damping `ω ∈ (0, 1]`. A NaN is kept and
+    /// rejected by the solve as [`NumError::Domain`].
     pub fn with_damping(mut self, omega: f64) -> Self {
         self.damping = omega.clamp(f64::MIN_POSITIVE, 1.0);
         self
     }
 
-    /// Returns a copy with a different convergence threshold.
+    /// Returns a copy with a different convergence threshold (negative
+    /// values mean 0). A non-finite threshold is kept and rejected by the
+    /// solve as [`NumError::Domain`].
     pub fn with_tol(mut self, tol: f64) -> Self {
-        self.tol = tol.max(0.0);
+        self.tol = if tol < 0.0 { 0.0 } else { tol };
         self
     }
 
     /// Returns a copy with a different sweep budget.
     pub fn with_max_sweeps(mut self, n: usize) -> Self {
         self.max_sweeps = n.max(1);
-        self
-    }
-
-    /// Returns a copy using the Theorem 3 threshold best response (see
-    /// [`NashSolver::threshold_br`]).
-    pub fn with_threshold_br(mut self, enabled: bool) -> Self {
-        self.threshold_br = enabled;
         self
     }
 
@@ -186,18 +180,10 @@ impl NashSolver {
         Ok(ws.solution(stats))
     }
 
-    /// Solves from an explicit starting profile — warm starts make the
-    /// `p`/`q` sweeps of Figures 7–11 fast and continuous.
-    pub fn solve_from(&self, game: &SubsidyGame, s0: &[f64]) -> NumResult<NashSolution> {
-        let mut ws = SolveWorkspace::for_game(game);
-        let stats = self.solve_into(game, WarmStart::Profile(s0), &mut ws)?;
-        Ok(ws.solution(stats))
-    }
-
     /// The allocation-free solve engine. Runs the same best-response
-    /// iteration as [`NashSolver::solve`]/[`NashSolver::solve_from`] —
-    /// bit-identical iterates, residuals and sweep counts — but every
-    /// transient lives in the caller-owned `ws`: after a first solve at a
+    /// iteration as [`NashSolver::solve`] — bit-identical iterates,
+    /// residuals and sweep counts — but every transient lives in the
+    /// caller-owned `ws`: after a first solve at a
     /// given size (warm-up), repeated calls perform **zero heap
     /// allocation** (asserted by the counting-allocator suite). On success
     /// the solution is left in the workspace ([`SolveWorkspace::subsidies`],
@@ -223,6 +209,9 @@ impl NashSolver {
     /// running out of `max_sweeps` stays the usual
     /// [`NumError::MaxIterations`] — and an unlimited budget makes this
     /// bit-identical to [`NashSolver::solve_into`].
+    ///
+    /// A damping outside `(0, 1]` (NaN included) or a non-finite
+    /// tolerance is a [`NumError::Domain`] naming the field.
     pub fn solve_into_budgeted(
         &self,
         game: &SubsidyGame,
@@ -230,6 +219,18 @@ impl NashSolver {
         ws: &mut SolveWorkspace,
         budget: SolveBudget,
     ) -> NumResult<SolveStats> {
+        if !(self.damping > 0.0 && self.damping <= 1.0) {
+            return Err(NumError::Domain {
+                what: "NashSolver damping must lie in (0, 1]",
+                value: self.damping,
+            });
+        }
+        if !self.tol.is_finite() {
+            return Err(NumError::Domain {
+                what: "NashSolver tol must be finite",
+                value: self.tol,
+            });
+        }
         if let WarmStart::Profile(s0) = start {
             game.validate(s0)?;
         }
@@ -283,27 +284,18 @@ impl NashSolver {
                     SweepMode::GaussSeidel => &ws.next,
                     SweepMode::Jacobi => &ws.reference,
                 };
-                let br = if self.threshold_br {
-                    match best_response_threshold_into(
-                        game,
-                        i,
-                        basis,
-                        ws.s[i],
-                        &mut ws.m,
-                        &mut ws.scratch,
-                    )? {
-                        Some(br) => br,
-                        None => best_response_into(
-                            game,
-                            i,
-                            basis,
-                            &self.br,
-                            &mut ws.m,
-                            &mut ws.scratch,
-                        )?,
+                let br = match best_response_threshold_into(
+                    game,
+                    i,
+                    basis,
+                    ws.s[i],
+                    &mut ws.m,
+                    &mut ws.scratch,
+                )? {
+                    Some(br) => br,
+                    None => {
+                        best_response_into(game, i, basis, &self.br, &mut ws.m, &mut ws.scratch)?
                     }
-                } else {
-                    best_response_into(game, i, basis, &self.br, &mut ws.m, &mut ws.scratch)?
                 };
                 ws.next[i] = (1.0 - self.damping) * ws.s[i] + self.damping * br.s;
             }
@@ -340,7 +332,7 @@ pub enum WarmStart<'a> {
     /// The paper's baseline `s = 0` (what [`NashSolver::solve`] uses).
     Zero,
     /// An explicit profile, validated against the game then clamped into
-    /// the effective box (what [`NashSolver::solve_from`] uses).
+    /// the effective box.
     Profile(&'a [f64]),
     /// Reuse whatever iterate the workspace holds — the batch warm start:
     /// consecutive solves of nearby games converge in a fraction of the
@@ -382,7 +374,7 @@ pub struct SolveStats {
 
 impl SolveWorkspace {
     /// Clones the workspace's solution out into an owning [`NashSolution`]
-    /// (the one allocation the thin `solve`/`solve_from` wrappers make).
+    /// (the one allocation the thin [`NashSolver::solve`] wrapper makes).
     pub fn solution(&self, stats: SolveStats) -> NashSolution {
         NashSolution {
             subsidies: self.subsidies().to_vec(),
@@ -444,11 +436,14 @@ mod tests {
     fn warm_start_agrees_with_cold_start() {
         let game = paper_game(0.9, 1.0);
         let cold = NashSolver::default().solve(&game).unwrap();
-        let warm = NashSolver::default().solve_from(&game, &[0.3; 8]).unwrap();
+        let mut ws = SolveWorkspace::for_game(&game);
+        let stats = NashSolver::default()
+            .solve_into(&game, WarmStart::Profile(&[0.3; 8]), &mut ws)
+            .unwrap();
         for i in 0..8 {
-            assert!((cold.subsidies[i] - warm.subsidies[i]).abs() < 1e-6);
+            assert!((cold.subsidies[i] - ws.subsidies()[i]).abs() < 1e-6);
         }
-        assert!(warm.iterations <= cold.iterations + 5);
+        assert!(stats.iterations <= cold.iterations + 5);
     }
 
     #[test]
@@ -532,25 +527,59 @@ mod tests {
     }
 
     #[test]
-    fn threshold_br_solver_matches_default() {
-        // The continuation engines run with threshold_br = true; the
-        // equilibria must agree with the grid-scan solver to well within
-        // the sweep tolerance across interior and corner-heavy regimes.
+    fn threshold_solver_matches_grid_scan_oracle() {
+        // Theorem 4 uniqueness makes an independent solver an oracle: a
+        // Gauss–Seidel loop over the public grid-scan `best_response`
+        // must land on the threshold engine's equilibrium across interior
+        // and corner-heavy regimes.
+        use crate::best_response::best_response;
         for (p, q) in [(0.5, 1.0), (0.2, 0.4), (1.2, 0.8), (0.6, 0.0)] {
             let game = paper_game(p, q);
-            let gs = NashSolver::default().with_tol(1e-9).solve(&game).unwrap();
-            let thr =
-                NashSolver::default().with_tol(1e-9).with_threshold_br(true).solve(&game).unwrap();
+            let thr = NashSolver::default().with_tol(1e-9).solve(&game).unwrap();
             assert!(thr.converged);
+            let cfg = BrConfig::default();
+            let mut grid = vec![0.0; 8];
+            let mut converged = false;
+            for _ in 0..600 {
+                let mut step = 0.0f64;
+                for i in 0..8 {
+                    let br = best_response(&game, i, &grid, &cfg).unwrap().s;
+                    step = step.max((br - grid[i]).abs());
+                    grid[i] = br;
+                }
+                if step <= 1e-9 {
+                    converged = true;
+                    break;
+                }
+            }
+            assert!(converged, "(p={p}, q={q}) grid-scan oracle did not converge");
             for i in 0..8 {
                 assert!(
-                    (gs.subsidies[i] - thr.subsidies[i]).abs() < 1e-7,
+                    (grid[i] - thr.subsidies[i]).abs() < 1e-7,
                     "(p={p}, q={q}) CP {i}: grid {} vs threshold {}",
-                    gs.subsidies[i],
+                    grid[i],
                     thr.subsidies[i]
                 );
             }
         }
+    }
+
+    #[test]
+    fn non_finite_configuration_is_a_domain_error() {
+        let game = paper_game(0.5, 1.0);
+        let mut ws = SolveWorkspace::for_game(&game);
+        let nan_damping = NashSolver::default().with_damping(f64::NAN);
+        assert!(matches!(
+            nan_damping.solve_into(&game, WarmStart::Zero, &mut ws),
+            Err(NumError::Domain { what, .. }) if what.contains("damping")
+        ));
+        let nan_tol = NashSolver::default().with_tol(f64::NAN);
+        assert!(matches!(
+            nan_tol.solve_into(&game, WarmStart::Zero, &mut ws),
+            Err(NumError::Domain { what, .. }) if what.contains("tol")
+        ));
+        // Negative tolerances still mean "converge exactly".
+        assert_eq!(NashSolver::default().with_tol(-1.0).tol, 0.0);
     }
 
     #[test]

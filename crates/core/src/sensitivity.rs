@@ -371,6 +371,13 @@ mod tests {
     use crate::nash::NashSolver;
     use subcomp_model::aggregation::{build_system, ExpCpSpec};
 
+    /// A copy of `game` with `axis` moved to `value`.
+    fn moved(game: &SubsidyGame, axis: Axis, value: f64) -> SubsidyGame {
+        let mut game = game.clone();
+        axis.apply(&mut game, value).unwrap();
+        game
+    }
+
     fn paper_game(p: f64, q: f64) -> SubsidyGame {
         let mut specs = Vec::new();
         for &v in &[0.5, 1.0] {
@@ -451,8 +458,8 @@ mod tests {
         let s = solve(&game);
         let sens = Sensitivity::compute(&game, &s).unwrap();
         let h = 1e-4;
-        let s_hi = solve(&game.with_cap(q + h).unwrap());
-        let s_lo = solve(&game.with_cap(q - h).unwrap());
+        let s_hi = solve(&moved(&game, Axis::Cap, q + h));
+        let s_lo = solve(&moved(&game, Axis::Cap, q - h));
         for i in 0..8 {
             let fd = (s_hi[i] - s_lo[i]) / (2.0 * h);
             assert!(
@@ -471,8 +478,8 @@ mod tests {
         let s = solve(&game);
         let sens = Sensitivity::compute(&game, &s).unwrap();
         let h = 1e-4;
-        let s_hi = solve(&game.with_price(p + h).unwrap());
-        let s_lo = solve(&game.with_price(p - h).unwrap());
+        let s_hi = solve(&moved(&game, Axis::Price, p + h));
+        let s_lo = solve(&moved(&game, Axis::Price, p - h));
         for i in 0..8 {
             let fd = (s_hi[i] - s_lo[i]) / (2.0 * h);
             assert!(
@@ -544,8 +551,8 @@ mod tests {
         let s = solve(&game);
         let ds = Sensitivity::directional(&mut game, &s, Axis::Mu).unwrap();
         let h = 1e-4;
-        let s_hi = solve(&game.with_mu(1.0 + h).unwrap());
-        let s_lo = solve(&game.with_mu(1.0 - h).unwrap());
+        let s_hi = solve(&moved(&game, Axis::Mu, 1.0 + h));
+        let s_lo = solve(&moved(&game, Axis::Mu, 1.0 - h));
         for i in 0..8 {
             let fd = (s_hi[i] - s_lo[i]) / (2.0 * h);
             assert!(
@@ -578,8 +585,8 @@ mod tests {
         for j in probes {
             let ds = Sensitivity::directional(&mut game, &s, Axis::Profitability(j)).unwrap();
             let v = game.profitability(j);
-            let s_hi = solve(&game.with_profitability(j, v + h).unwrap());
-            let s_lo = solve(&game.with_profitability(j, v - h).unwrap());
+            let s_hi = solve(&moved(&game, Axis::Profitability(j), v + h));
+            let s_lo = solve(&moved(&game, Axis::Profitability(j), v - h));
             for i in 0..8 {
                 let fd = (s_hi[i] - s_lo[i]) / (2.0 * h);
                 assert!(

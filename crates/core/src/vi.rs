@@ -13,24 +13,8 @@
 
 use crate::game::SubsidyGame;
 use crate::workspace::SolveWorkspace;
-use subcomp_model::system::SystemState;
 use subcomp_num::linalg::vector::{clamp_in_place, step_into, sub_inf_norm};
 use subcomp_num::{NumError, NumResult};
-
-/// Result of a VI solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ViSolution {
-    /// The solution profile.
-    pub subsidies: Vec<f64>,
-    /// Solved state at the solution.
-    pub state: SystemState,
-    /// Natural residual `‖s − Π_K(s − F(s))‖_∞` at the solution.
-    pub natural_residual: f64,
-    /// Iterations performed.
-    pub iterations: usize,
-    /// Whether the residual met the tolerance.
-    pub converged: bool,
-}
 
 /// Configuration for the VI solvers.
 #[derive(Debug, Clone, Copy)]
@@ -68,9 +52,8 @@ pub fn natural_residual(game: &SubsidyGame, s: &[f64]) -> NumResult<f64> {
     Ok(s.iter().zip(&proj).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max))
 }
 
-/// Health summary of one VI `_into` solve; the solution itself stays in
-/// the workspace. Mirrors the corresponding [`ViSolution`] fields
-/// bit-for-bit.
+/// Health summary of one VI solve; the solution itself stays in the
+/// workspace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ViStats {
     /// Natural residual at the solution.
@@ -83,39 +66,9 @@ pub struct ViStats {
 
 /// Fixed-step projection method. Converges for co-coercive maps; on this
 /// game the step default is conservative enough in practice, and the
-/// method is used as a cross-check rather than the primary solver.
-pub fn projection_solve(game: &SubsidyGame, s0: &[f64], cfg: &ViConfig) -> NumResult<ViSolution> {
-    let mut ws = SolveWorkspace::for_game(game);
-    let stats = projection_solve_into(game, s0, cfg, &mut ws)?;
-    Ok(vi_solution(&ws, stats))
-}
-
-/// Korpelevich extragradient: a predictor step probes `F`, the corrector
-/// applies it — convergent for merely monotone maps, at twice the cost
-/// per iteration.
-pub fn extragradient_solve(
-    game: &SubsidyGame,
-    s0: &[f64],
-    cfg: &ViConfig,
-) -> NumResult<ViSolution> {
-    let mut ws = SolveWorkspace::for_game(game);
-    let stats = extragradient_solve_into(game, s0, cfg, &mut ws)?;
-    Ok(vi_solution(&ws, stats))
-}
-
-fn vi_solution(ws: &SolveWorkspace, stats: ViStats) -> ViSolution {
-    ViSolution {
-        subsidies: ws.subsidies().to_vec(),
-        state: ws.state().clone(),
-        natural_residual: stats.natural_residual,
-        iterations: stats.iterations,
-        converged: stats.converged,
-    }
-}
-
-/// [`projection_solve`] on a caller-owned workspace: bit-identical
-/// iterates, zero heap allocation once the workspace is warm. On success
-/// the solution stays in `ws` ([`SolveWorkspace::subsidies`] /
+/// method is used as a cross-check rather than the primary solver. Zero
+/// heap allocation once the workspace is warm; on success the solution
+/// stays in `ws` ([`SolveWorkspace::subsidies`] /
 /// [`SolveWorkspace::state`]).
 pub fn projection_solve_into(
     game: &SubsidyGame,
@@ -141,8 +94,9 @@ pub fn projection_solve_into(
     Err(NumError::MaxIterations { max_iter: cfg.max_iter, residual })
 }
 
-/// [`extragradient_solve`] on a caller-owned workspace: bit-identical
-/// iterates, zero heap allocation once the workspace is warm.
+/// Korpelevich extragradient: a predictor step probes `F`, the corrector
+/// applies it — convergent for merely monotone maps, at twice the cost
+/// per iteration. Zero heap allocation once the workspace is warm.
 pub fn extragradient_solve_into(
     game: &SubsidyGame,
     s0: &[f64],
@@ -195,6 +149,18 @@ mod tests {
     use crate::nash::NashSolver;
     use subcomp_model::aggregation::{build_system, ExpCpSpec};
 
+    /// Solves with `engine` on a fresh workspace and returns it.
+    fn solved(
+        engine: fn(&SubsidyGame, &[f64], &ViConfig, &mut SolveWorkspace) -> NumResult<ViStats>,
+        game: &SubsidyGame,
+        s0: &[f64],
+        cfg: &ViConfig,
+    ) -> NumResult<(ViStats, SolveWorkspace)> {
+        let mut ws = SolveWorkspace::for_game(game);
+        let stats = engine(game, s0, cfg, &mut ws)?;
+        Ok((stats, ws))
+    }
+
     fn paper_game(p: f64, q: f64) -> SubsidyGame {
         let mut specs = Vec::new();
         for &v in &[0.5, 1.0] {
@@ -211,14 +177,15 @@ mod tests {
     fn projection_agrees_with_best_response() {
         let game = paper_game(0.7, 0.6);
         let br = NashSolver::default().solve(&game).unwrap();
-        let vi = projection_solve(&game, &[0.0; 8], &ViConfig::default()).unwrap();
-        assert!(vi.converged);
+        let (stats, vi) =
+            solved(projection_solve_into, &game, &[0.0; 8], &ViConfig::default()).unwrap();
+        assert!(stats.converged);
         for i in 0..8 {
             assert!(
-                (br.subsidies[i] - vi.subsidies[i]).abs() < 1e-5,
+                (br.subsidies[i] - vi.subsidies()[i]).abs() < 1e-5,
                 "CP {i}: BR {} vs VI {}",
                 br.subsidies[i],
-                vi.subsidies[i]
+                vi.subsidies()[i]
             );
         }
     }
@@ -226,17 +193,19 @@ mod tests {
     #[test]
     fn extragradient_agrees_with_projection() {
         let game = paper_game(0.5, 1.0);
-        let pj = projection_solve(&game, &[0.1; 8], &ViConfig::default()).unwrap();
-        let eg = extragradient_solve(&game, &[0.4; 8], &ViConfig::default()).unwrap();
+        let cfg = ViConfig::default();
+        let (_, pj) = solved(projection_solve_into, &game, &[0.1; 8], &cfg).unwrap();
+        let (_, eg) = solved(extragradient_solve_into, &game, &[0.4; 8], &cfg).unwrap();
         for i in 0..8 {
-            assert!((pj.subsidies[i] - eg.subsidies[i]).abs() < 1e-5, "CP {i}");
+            assert!((pj.subsidies()[i] - eg.subsidies()[i]).abs() < 1e-5, "CP {i}");
         }
     }
 
     #[test]
     fn natural_residual_zero_at_solution_positive_elsewhere() {
         let game = paper_game(0.6, 0.5);
-        let sol = projection_solve(&game, &[0.0; 8], &ViConfig::default()).unwrap();
+        let (sol, _) =
+            solved(projection_solve_into, &game, &[0.0; 8], &ViConfig::default()).unwrap();
         assert!(sol.natural_residual < 1e-7);
         let off = natural_residual(&game, &[0.0; 8]).unwrap();
         assert!(off > 1e-3, "residual at the origin should be large, got {off}");
@@ -258,7 +227,7 @@ mod tests {
         let game = paper_game(0.5, 1.0);
         let cfg = ViConfig { max_iter: 2, ..Default::default() };
         assert!(matches!(
-            projection_solve(&game, &[0.0; 8], &cfg),
+            solved(projection_solve_into, &game, &[0.0; 8], &cfg),
             Err(NumError::MaxIterations { .. })
         ));
     }

@@ -233,12 +233,14 @@ mod tests {
 
         let h = 1e-4;
         let whi = {
-            let g = game.with_cap(q + h).unwrap();
+            let mut g = game.clone();
+            g.set_cap(q + h).unwrap();
             let e = solver.solve(&g).unwrap();
             welfare(&g, &e.state)
         };
         let wlo = {
-            let g = game.with_cap(q - h).unwrap();
+            let mut g = game.clone();
+            g.set_cap(q - h).unwrap();
             let e = solver.solve(&g).unwrap();
             welfare(&g, &e.state)
         };

@@ -12,9 +12,9 @@
 //! `tests/alloc_free.rs`.
 //!
 //! Buffers only ever grow, so one workspace can hop between games of
-//! different sizes; results are bit-identical to the allocating wrappers
-//! (`solve`, `solve_from`, `projection_solve`, `extragradient_solve`),
-//! which are now thin shims over this engine.
+//! different sizes with bit-identical results; the one allocating entry
+//! point, [`crate::nash::NashSolver::solve`], is a thin shim over this
+//! engine.
 
 use crate::game::SubsidyGame;
 use subcomp_model::system::{StateScratch, SystemState};

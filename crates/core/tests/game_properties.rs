@@ -78,7 +78,8 @@ proptest! {
         let game = SubsidyGame::new(build_system(&specs, 1.0).unwrap(), p, 1.0).unwrap();
         let solver = NashSolver::default().with_tol(1e-9);
         let base = solver.solve(&game).unwrap();
-        let richer = game.with_profitability(0, specs[0].v + bump).unwrap();
+        let mut richer = game.clone();
+        richer.set_profitability(0, specs[0].v + bump).unwrap();
         let after = solver.solve(&richer).unwrap();
         prop_assert!(
             after.subsidies[0] >= base.subsidies[0] - 1e-6,

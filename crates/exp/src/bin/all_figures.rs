@@ -24,6 +24,8 @@ fn main() {
     let f7 = fig7::compute(&panel);
     println!("{}", f7.render());
     println!("fig7 shape: {:?}", f7.check_shape());
+    let (p_star, r_star) = f7.revenue_peak(f7.qs.len() - 1);
+    println!("revenue peak at q = {}: p = {p_star:.3}, R = {r_star:.4}", f7.qs[f7.qs.len() - 1]);
     f7.write_csv(&dir.join("fig7.csv")).expect("csv");
 
     let f8 = fig8::compute(&panel);
@@ -39,6 +41,11 @@ fn main() {
     let f10 = fig10::compute(&panel);
     println!("{}", f10.render());
     println!("fig10 shape: {:?}", fig10::check_shape(&f10, 0).expect("runs"));
+    let exceptions = fig10::exception_prices(&f10, 0, f10.qs.len() - 1);
+    println!(
+        "paper's (2,5,1) exception (loses vs baseline) observed at prices: {:?}",
+        &exceptions[..exceptions.len().min(8)]
+    );
     f10.write_csv(&dir.join("fig10.csv")).expect("csv");
 
     let f11 = fig11::compute(&panel);

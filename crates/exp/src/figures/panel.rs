@@ -3,14 +3,14 @@
 //! All five figures plot quantities of the *same* family of equilibria:
 //! the 8-type market solved over `p ∈ [0, 2]` for each policy cap
 //! `q ∈ {0, 0.5, 1, 1.5, 2}`. This module computes that grid once through
-//! the [`GridSolver`] continuation engine — price-axis warm starts plus
+//! the [`ContinuationSolver`] continuation engine — price-axis warm starts plus
 //! cap-row seeding, zero per-point allocation, parallel across column
 //! blocks — and the per-figure modules extract their series from the
 //! resulting [`EqGrid`] through borrowed [`EqPointView`]s.
 
 use crate::scenarios::section5_system;
 use crate::scenarios::{paper_policy_grid, paper_price_grid, section5_specs, spec_label};
-use crate::sweep::{EqGrid, EqPointView, GridSolver};
+use crate::sweep::{ContinuationSolver, EqGrid, EqPointView};
 use subcomp_num::{NumError, NumResult};
 
 /// The full Figures 7–11 grid.
@@ -35,7 +35,7 @@ pub fn compute(points: usize, threads: usize) -> NumResult<Panel> {
 /// Computes the panel on explicit grids.
 pub fn compute_on(qs: &[f64], prices: &[f64], threads: usize) -> NumResult<Panel> {
     let system = section5_system();
-    let solver = GridSolver::default().with_threads(threads);
+    let solver = ContinuationSolver::default().with_threads(threads);
     let grid = solver.solve(&system, qs, prices)?;
     Ok(Panel {
         qs: qs.to_vec(),
@@ -140,7 +140,7 @@ mod tests {
     #[test]
     fn panel_matches_independent_solves() {
         // The continuation-computed panel must agree with fresh cold
-        // solves of the same games (the pre-GridSolver construction).
+        // solves of the same games (the pre-ContinuationSolver construction).
         use subcomp_core::game::SubsidyGame;
         use subcomp_core::nash::NashSolver;
         let p = small_panel();

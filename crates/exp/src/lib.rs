@@ -1,28 +1,29 @@
 //! # `subcomp-exp` — experiment harness
 //!
 //! Regenerates every data figure in the evaluation of Ma, *Subsidization
-//! Competition* (CoNEXT 2014), plus the three extension experiments in
-//! DESIGN.md. Each paper figure has a dedicated binary printing the same
-//! series the paper plots and writing a CSV under `results/`:
+//! Competition* (CoNEXT 2014), plus three extension experiments. The
+//! `all_figures` binary prints the series the paper plots, shape-checks
+//! each figure and writes one CSV per figure under `results/`:
 //!
-//! | binary | paper artifact | content |
+//! | CSV | paper artifact | content |
 //! |---|---|---|
-//! | `fig4` | Figure 4 | aggregate throughput θ(p) and revenue R(p), §3.2 setting |
-//! | `fig5` | Figure 5 | per-CP throughput θ_i(p), 3×3 grid of (α, β) types |
-//! | `fig7` | Figure 7 | ISP revenue and welfare vs p for q ∈ {0, …, 2} |
-//! | `fig8` | Figure 8 | equilibrium subsidies s_i(p; q), 8 panels |
-//! | `fig9` | Figure 9 | equilibrium populations m_i(p; q) |
-//! | `fig10` | Figure 10 | equilibrium throughput θ_i(p; q) |
-//! | `fig11` | Figure 11 | equilibrium utilities U_i(p; q) |
-//! | `extensions` | — | E1 endogenous pricing, E2 capacity planning, E3 sim-vs-theory |
-//! | `all_figures` | — | everything above in one run |
+//! | `fig4.csv` | Figure 4 | aggregate throughput θ(p) and revenue R(p), §3.2 setting |
+//! | `fig5.csv` | Figure 5 | per-CP throughput θ_i(p), 3×3 grid of (α, β) types |
+//! | `fig7.csv` | Figure 7 | ISP revenue and welfare vs p for q ∈ {0, …, 2} |
+//! | `fig8.csv` | Figure 8 | equilibrium subsidies s_i(p; q), 8 panels |
+//! | `fig9.csv` | Figure 9 | equilibrium populations m_i(p; q) |
+//! | `fig10.csv` | Figure 10 | equilibrium throughput θ_i(p; q) |
+//! | `fig11.csv` | Figure 11 | equilibrium utilities U_i(p; q) |
+//!
+//! The `extensions` binary runs E1 endogenous pricing, E2 capacity
+//! planning and E3 sim-vs-theory.
 //!
 //! The [`figures`] module computes the data (shared with the integration
 //! tests, which assert the paper's qualitative claims on exactly the data
 //! the binaries print); [`scenarios`] pins the paper's parameterizations;
 //! [`report`] renders aligned ASCII tables and CSV files; [`sweep`] runs
 //! multi-threaded parameter sweeps with warm-started equilibrium solves —
-//! including the [`sweep::GridSolver`] 2-D continuation engine the §5
+//! including the [`sweep::ContinuationSolver`] 2-D continuation engine the §5
 //! panel and the grid benchmarks are built on.
 //!
 //! Beyond the figures, [`corpus`] maintains the named scenario corpus —

@@ -18,9 +18,7 @@
 //!    *adjacent row's* solution at the same column, so only one point of
 //!    the whole grid ever solves cold (per block; see below). A seeded
 //!    solve that fails to converge automatically falls back to a cold
-//!    solve, and a cold threshold-BR solve that fails falls back to the
-//!    robust grid-scan engine — continuation can never *lose* a point,
-//!    only speed it up.
+//!    solve — continuation can never *lose* a point, only speed it up.
 //!
 //! Reparameterizing a grid point is two scalar writes through the axis
 //! setters ([`SubsidyGame::set_price`] / [`SubsidyGame::set_cap`] /
@@ -41,11 +39,6 @@
 //! not points — are fanned across workers. Because the block structure
 //! depends only on [`ContinuationSolver::block`], results are
 //! **bit-identical for any thread count**.
-//!
-//! [`GridSolver`] — the engine's historical name — is an alias for the
-//! default `Cap × Price` parameterization; existing `(q, p)` callers are
-//! untouched and bit-identical (the `(q, p)` goldens and grid benches did
-//! not move in the axis generalization).
 
 use subcomp_core::game::SubsidyGame;
 use subcomp_core::nash::{NashSolver, SolveStats, WarmStart};
@@ -304,10 +297,10 @@ impl GridContext {
 /// The axis-generic 2-D continuation solver (module docs).
 #[derive(Debug, Clone)]
 pub struct ContinuationSolver {
-    /// The continuation solver. The default runs the Theorem 3 threshold
-    /// best response at tolerance `1e-8` — the panel's historical
-    /// tolerance; every answer agrees with the grid-scan engine to root
-    /// tolerance (`tests/grid_continuation.rs` pins this on random grids).
+    /// The Nash solver behind every point. The default runs at tolerance
+    /// `1e-8`, the panel's historical tolerance; every point agrees with
+    /// an independent cold solve (`tests/grid_continuation.rs` pins this
+    /// on random grids).
     pub solver: NashSolver,
     /// Worker threads for block fan-out (`<= 1` runs sequentially;
     /// results are bit-identical either way).
@@ -337,7 +330,7 @@ pub struct ContinuationSolver {
 impl Default for ContinuationSolver {
     fn default() -> Self {
         ContinuationSolver {
-            solver: NashSolver::default().with_tol(1e-8).with_threshold_br(true),
+            solver: NashSolver::default().with_tol(1e-8),
             threads: 1,
             block: 16,
             reverse_rows: false,
@@ -347,10 +340,6 @@ impl Default for ContinuationSolver {
         }
     }
 }
-
-/// The `(q, p)` grid engine of the §5 panel — the historical name of
-/// [`ContinuationSolver`], whose default axes are exactly `Cap × Price`.
-pub type GridSolver = ContinuationSolver;
 
 /// One block task: a contiguous range of columns plus the matching slabs
 /// of every output buffer.
@@ -568,7 +557,7 @@ impl ContinuationSolver {
                 let fell_back = self.tangent && step == 0 && cl > 0 && !have_tangent;
                 let (stats, cold) = if step == 0 {
                     if cl == 0 {
-                        (self.solve_cold(ctx)?, true)
+                        (self.solver.solve_into(&ctx.game, WarmStart::Zero, &mut ctx.ws)?, true)
                     } else if have_tangent {
                         // Predictor-corrector: first-order Theorem 6 step
                         // from the previous column's equilibrium.
@@ -637,25 +626,7 @@ impl ContinuationSolver {
     ) -> NumResult<(SolveStats, bool)> {
         match self.solver.solve_into(&ctx.game, start, &mut ctx.ws) {
             Ok(stats) => Ok((stats, false)),
-            Err(_) => Ok((self.solve_cold(ctx)?, true)),
-        }
-    }
-
-    /// A cold solve; if the continuation solver itself fails from zero,
-    /// retry once on the robust grid-scan best response.
-    fn solve_cold(&self, ctx: &mut GridContext) -> NumResult<SolveStats> {
-        match self.solver.solve_into(&ctx.game, WarmStart::Zero, &mut ctx.ws) {
-            Ok(stats) => Ok(stats),
-            Err(err) => {
-                if !self.solver.threshold_br {
-                    return Err(err);
-                }
-                self.solver.with_threshold_br(false).solve_into(
-                    &ctx.game,
-                    WarmStart::Zero,
-                    &mut ctx.ws,
-                )
-            }
+            Err(_) => Ok((self.solver.solve_into(&ctx.game, WarmStart::Zero, &mut ctx.ws)?, true)),
         }
     }
 
@@ -886,7 +857,7 @@ mod tests {
     fn grid_matches_independent_cold_solves() {
         let sys = section5_system();
         let (qs, prices) = small_grid();
-        let grid = GridSolver::default().solve(&sys, &qs, &prices).unwrap();
+        let grid = ContinuationSolver::default().solve(&sys, &qs, &prices).unwrap();
         assert_eq!(grid.n_rows(), 3);
         assert_eq!(grid.n_cols(), 5);
         assert_eq!(grid.n_cps(), 8);
@@ -919,7 +890,7 @@ mod tests {
     fn results_bit_identical_across_thread_counts() {
         let sys = section5_system();
         let (qs, prices) = small_grid();
-        let base = GridSolver::default().with_block(2);
+        let base = ContinuationSolver::default().with_block(2);
         let one = base.clone().with_threads(1).solve(&sys, &qs, &prices).unwrap();
         let four = base.with_threads(4).solve(&sys, &qs, &prices).unwrap();
         assert_eq!(one, four);
@@ -929,7 +900,7 @@ mod tests {
     fn sequential_engine_matches_parallel() {
         let sys = section5_system();
         let (qs, prices) = small_grid();
-        let solver = GridSolver::default().with_block(2);
+        let solver = ContinuationSolver::default().with_block(2);
         let parallel = solver.clone().with_threads(3).solve(&sys, &qs, &prices).unwrap();
         let mut ctx = GridContext::new(&sys);
         let mut seq = EqGrid::empty();
@@ -946,8 +917,11 @@ mod tests {
     fn reverse_row_order_agrees_within_tolerance() {
         let sys = section5_system();
         let (qs, prices) = small_grid();
-        let fwd = GridSolver::default().solve(&sys, &qs, &prices).unwrap();
-        let rev = GridSolver::default().with_reverse_rows(true).solve(&sys, &qs, &prices).unwrap();
+        let fwd = ContinuationSolver::default().solve(&sys, &qs, &prices).unwrap();
+        let rev = ContinuationSolver::default()
+            .with_reverse_rows(true)
+            .solve(&sys, &qs, &prices)
+            .unwrap();
         for r in 0..qs.len() {
             for c in 0..prices.len() {
                 let (a, b) = (fwd.point(r, c), rev.point(r, c));
@@ -965,7 +939,7 @@ mod tests {
     fn continuation_solves_mostly_warm() {
         let sys = section5_system();
         let (qs, prices) = small_grid();
-        let grid = GridSolver::default().with_block(8).solve(&sys, &qs, &prices).unwrap();
+        let grid = ContinuationSolver::default().with_block(8).solve(&sys, &qs, &prices).unwrap();
         // One block => exactly one planned cold solve; fallbacks would
         // push the count up (and flag a continuation regression).
         assert_eq!(grid.cold_solves(), 1, "continuation fell back to cold solves");
@@ -977,7 +951,7 @@ mod tests {
     #[test]
     fn zero_cap_row_pins_subsidies() {
         let sys = section5_system();
-        let grid = GridSolver::default().solve(&sys, &[0.0, 1.0], &[0.4, 0.9]).unwrap();
+        let grid = ContinuationSolver::default().solve(&sys, &[0.0, 1.0], &[0.4, 0.9]).unwrap();
         for c in 0..2 {
             assert!(grid.point(0, c).subsidies.iter().all(|&s| s == 0.0));
             assert!(grid.point(1, c).subsidies.iter().any(|&s| s > 0.0));
@@ -987,12 +961,12 @@ mod tests {
     #[test]
     fn empty_and_invalid_grids() {
         let sys = section5_system();
-        let grid = GridSolver::default().solve(&sys, &[], &[0.5]).unwrap();
+        let grid = ContinuationSolver::default().solve(&sys, &[], &[0.5]).unwrap();
         assert_eq!(grid.n_rows(), 0);
-        let grid = GridSolver::default().solve(&sys, &[0.5], &[]).unwrap();
+        let grid = ContinuationSolver::default().solve(&sys, &[0.5], &[]).unwrap();
         assert_eq!(grid.n_cols(), 0);
-        assert!(GridSolver::default().solve(&sys, &[-0.1], &[0.5]).is_err());
-        assert!(GridSolver::default().solve(&sys, &[0.5], &[f64::NAN]).is_err());
+        assert!(ContinuationSolver::default().solve(&sys, &[-0.1], &[0.5]).is_err());
+        assert!(ContinuationSolver::default().solve(&sys, &[0.5], &[f64::NAN]).is_err());
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //! performs zero heap allocation after warm-up.
 
 pub mod continuation;
-pub mod grid;
 
 pub use continuation::{
     axis_equilibrium_sweep, one_sided_sweep, Axis, AxisSweepPoint, ContinuationSolver, EqGrid,
-    EqPointView, GridContext, GridSolver, StatePoint,
+    EqPointView, GridContext, StatePoint,
 };
 
 use subcomp_core::game::SubsidyGame;
@@ -303,9 +302,8 @@ impl BatchSolver {
     /// SolveWorkspace)` pair per worker; per-lane failures (probe errors,
     /// sweep exhaustion) surface as that game's `Err` without poisoning
     /// lane-mates. Lane solves mirror `self.solver`'s damping, tolerance,
-    /// sweep budget and grid-fallback config but always use threshold
-    /// best responses — the scalar engine they are bit-identical to is
-    /// `self.solver.with_threshold_br(true)` from a cold start.
+    /// sweep budget and grid-fallback config, and are bit-identical to
+    /// `self.solver` from a cold start.
     fn run_lanes<'a, T, R, B, G, S>(
         &self,
         items: &'a [T],
@@ -360,7 +358,6 @@ impl BatchSolver {
             max_sweeps: self.solver.max_sweeps,
             br: self.solver.br,
         };
-        let scalar_solver = self.solver.with_threshold_br(true);
         let solved = parallel_map_with(
             &work,
             self.threads,
@@ -368,7 +365,8 @@ impl BatchSolver {
             |(lw, ws): &mut (LaneWorkspace, SolveWorkspace), unit: &Work| match unit {
                 Work::Scalar(idx) => {
                     let game = game_at(*idx);
-                    let result = scalar_solver
+                    let result = self
+                        .solver
                         .solve_into(game, WarmStart::Zero, ws)
                         .map(|stats| summarize(game, ws, stats));
                     vec![(*idx, result)]
@@ -426,8 +424,8 @@ pub struct SweepPoint {
 /// solves through one reused [`SolveWorkspace`], so only the returned
 /// [`NashSolution`]s allocate. Iterates (and therefore results) are
 /// bit-identical to the historical clone-per-point implementation —
-/// `WarmStart::Previous` re-clamps the prior equilibrium exactly as
-/// `solve_from` did.
+/// `WarmStart::Previous` re-clamps the prior equilibrium exactly as an
+/// explicit [`WarmStart::Profile`] start would.
 pub fn equilibrium_price_sweep(
     system: &System,
     q: f64,
@@ -711,7 +709,7 @@ mod tests {
         let games = farm_games(13); // mixed n ∈ {2..5}, not a lane multiple
         let lanes = BatchSolver::default().with_lanes(4).with_threads(3);
         let results = lanes.solve_games(&games);
-        let reference = NashSolver::default().with_threshold_br(true);
+        let reference = NashSolver::default();
         for (game, result) in games.iter().zip(&results) {
             let got = result.as_ref().expect("lane batch converged");
             let want = reference.solve(game).unwrap();

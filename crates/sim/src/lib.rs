@@ -18,7 +18,8 @@
 //!   hill-climbing on realized profit (no oracle access to utilities), and
 //!   the usage-based money flows are metered by [`billing`]. Its long-run
 //!   state is compared against the analytic Nash equilibrium of
-//!   `subcomp-core` — the sim-vs-theory experiment (EXPERIMENTS.md, E3).
+//!   `subcomp-core` — the sim-vs-theory experiment (E3 of the
+//!   `subcomp-exp` `extensions` binary).
 //! * [`adoption`] — a million-user **structure-of-arrays adoption engine**
 //!   (Weber–Guérin externality dynamics): per-field user arrays
 //!   counting-sorted by CP type, counter-keyed randomness so ticks are

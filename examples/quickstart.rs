@@ -53,9 +53,9 @@ fn main() {
     println!("  CP gross profit  {:.4} (the paper's welfare metric W)", b.welfare);
 
     // Compare against the regulated baseline q = 0.
-    let baseline = NashSolver::default()
-        .solve(&game.with_cap(0.0).expect("baseline game"))
-        .expect("baseline equilibrium");
+    let mut regulated = game.clone();
+    regulated.set_cap(0.0).expect("baseline game");
+    let baseline = NashSolver::default().solve(&regulated).expect("baseline equilibrium");
     println!(
         "vs q = 0 baseline: ISP revenue {:.4} -> {:.4}, welfare {:.4} -> {:.4}",
         baseline.isp_revenue(&game),

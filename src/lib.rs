@@ -1,8 +1,8 @@
 //! # `subcomp` — Subsidization Competition for a Neutral Internet
 //!
-//! Facade crate re-exporting the full workspace. See the README for the
-//! architecture overview, `DESIGN.md` for the paper-to-module inventory,
-//! and `EXPERIMENTS.md` for paper-vs-measured results.
+//! Facade crate re-exporting the full workspace. See [`paper_map`] for the
+//! paper-to-module inventory and `tests/README.md` for the test tiers
+//! that check each result.
 //!
 //! Reproduces: Richard T. B. Ma, *Subsidization Competition: Vitalizing
 //! the Neutral Internet*, ACM CoNEXT 2014 (arXiv:1406.2516).
@@ -36,7 +36,7 @@ pub mod prelude {
 /// | Definition 3 (Nash equilibrium) | [`game::nash::NashSolver`] | KKT + deviation certificates |
 /// | Theorem 3 (characterization) | [`game::equilibrium`] (`τ_i`, KKT residuals) | `theorem3_equilibrium_characterization` |
 /// | Theorem 4 (uniqueness) | [`game::structure::p_function_evidence`] | solver-agreement tests |
-/// | Theorem 5 (profitability effect) | [`game::game::SubsidyGame::with_profitability`] | `theorem5_profitability_raises_subsidy` |
+/// | Theorem 5 (profitability effect) | [`game::game::SubsidyGame::set_profitability`] | `theorem5_profitability_raises_subsidy` |
 /// | Theorem 6 (equilibrium dynamics) | [`game::sensitivity::Sensitivity`] (+ `directional` along any [`game::game::Axis`]) | re-solved-equilibrium finite differences |
 /// | Corollary 1 (deregulation) | [`game::policy::policy_effect`] (fixed price) | monotone sweeps |
 /// | Theorem 7 (marginal revenue, Υ) | [`game::revenue::marginal_revenue_at`] | finite-difference cross-checks |

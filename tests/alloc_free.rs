@@ -159,18 +159,18 @@ fn vi_solvers_are_allocation_free_after_warmup() {
 
 #[test]
 fn grid_solver_is_allocation_free_after_warmup() {
-    // The continuation grid engine (`GridSolver::solve_seq_into`): after
+    // The continuation grid engine (`ContinuationSolver::solve_seq_into`): after
     // one warm-up pass of the same shape, a full multi-row sweep — game
     // reparameterization via set_price/set_cap, seeded solves, cold
     // fallbacks, result writes — performs zero heap allocation for the
     // whole 3×8 grid (a fortiori zero per grid point).
     use subcomp::exp::scenarios::section5_system;
-    use subcomp::exp::sweep::{EqGrid, GridContext, GridSolver};
+    use subcomp::exp::sweep::{ContinuationSolver, EqGrid, GridContext};
 
     let system = section5_system();
     let qs = [0.0, 0.7, 1.4];
     let prices: [f64; 8] = std::array::from_fn(|k| 0.15 + 0.25 * k as f64);
-    let solver = GridSolver::default();
+    let solver = ContinuationSolver::default();
     let mut ctx = GridContext::new(&system);
     let mut grid = EqGrid::empty();
     // Warm-up: sizes the context, the workspace and every output buffer.

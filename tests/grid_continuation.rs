@@ -1,5 +1,5 @@
 //! Property tier for the continuation grid engine: on random markets and
-//! random `(q, p)` grids, every [`GridSolver`] point must match an
+//! random `(q, p)` grids, every [`ContinuationSolver`] point must match an
 //! independent cold solve of the same game within solver tolerance, the
 //! row-seeding order (forward vs reverse) must not change results beyond
 //! tolerance, and the parallel fan-out must be bit-identical to the
@@ -11,7 +11,7 @@
 //! change.
 
 use proptest::prelude::*;
-use subcomp::exp::sweep::{EqGrid, GridContext, GridSolver};
+use subcomp::exp::sweep::{ContinuationSolver, EqGrid, GridContext};
 use subcomp::game::game::SubsidyGame;
 use subcomp::game::nash::NashSolver;
 use subcomp::model::aggregation::{build_system, ExpCpSpec};
@@ -48,9 +48,9 @@ proptest! {
         prices in axis_strategy(0.1, 1.5),
     ) {
         let system = system_of(&specs);
-        let grid = GridSolver::default().solve(&system, &qs, &prices).unwrap();
-        // Reference: fresh games solved cold by the default grid-scan
-        // engine — the construction the panel used before continuation.
+        let grid = ContinuationSolver::default().solve(&system, &qs, &prices).unwrap();
+        // Reference: fresh games solved cold — the construction the
+        // panel used before continuation.
         let reference = NashSolver::default().with_tol(1e-8);
         for (r, &q) in qs.iter().enumerate() {
             for (c, &p) in prices.iter().enumerate() {
@@ -78,8 +78,8 @@ proptest! {
         prices in axis_strategy(0.1, 1.5),
     ) {
         let system = system_of(&specs);
-        let fwd = GridSolver::default().solve(&system, &qs, &prices).unwrap();
-        let rev = GridSolver::default()
+        let fwd = ContinuationSolver::default().solve(&system, &qs, &prices).unwrap();
+        let rev = ContinuationSolver::default()
             .with_reverse_rows(true)
             .solve(&system, &qs, &prices)
             .unwrap();
@@ -107,7 +107,7 @@ proptest! {
         block in 1usize..3,
     ) {
         let system = system_of(&specs);
-        let solver = GridSolver::default().with_block(block);
+        let solver = ContinuationSolver::default().with_block(block);
         let parallel = solver
             .clone()
             .with_threads(threads)

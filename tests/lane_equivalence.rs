@@ -3,16 +3,13 @@
 //!
 //! Three contracts (see `tests/README.md`, "The lane tier"):
 //!
-//! 1. **Bit-identity vs the same-engine scalar solver.** Per lane, a
-//!    `LaneSolver` solve is bit-for-bit the scalar
-//!    `NashSolver::default().with_threshold_br(true)` solve of that
-//!    lane's game from the zero profile — same probe sequence through the
-//!    shared best-response engine bodies, same φ-solves, same population
-//!    cache bits.
-//! 2. **Documented tolerance vs the grid-scan default.** Against the
-//!    default `BatchSolver` (grid-scan best responses, cold) the lane
-//!    engine agrees to the threshold-vs-grid bound of 1e-7 — the same
-//!    bound the scalar threshold solver is held to.
+//! 1. **Bit-identity vs the scalar solver.** Per lane, a `LaneSolver`
+//!    solve is bit-for-bit the scalar `NashSolver::default()` solve of
+//!    that lane's game from the zero profile — same probe sequence
+//!    through the shared best-response engine bodies, same φ-solves, same
+//!    population cache bits.
+//! 2. **Bit-identity vs the default batch.** Lane-mode `BatchSolver`
+//!    results equal the cold scalar `BatchSolver` bit for bit.
 //! 3. **Structural determinism.** Lane-mode batch results are
 //!    bit-identical across thread counts AND lane-block sizes: lane
 //!    assignment is a pure function of the item list and `K`, and lanes
@@ -58,7 +55,7 @@ proptest! {
         let mut lw = LaneWorkspace::new();
         LaneSolver::default().solve_into(&lane_game, &mut lw);
 
-        let scalar = NashSolver::default().with_threshold_br(true);
+        let scalar = NashSolver::default();
         let mut ws = SolveWorkspace::new();
         for (l, game) in games.iter().enumerate() {
             match (scalar.solve_into(game, WarmStart::Zero, &mut ws), lw.result_of(l)) {
@@ -85,23 +82,24 @@ proptest! {
     }
 
     #[test]
-    fn lane_batch_matches_grid_scan_batch_to_documented_tolerance(
+    fn lane_batch_is_bit_identical_to_the_default_batch(
         n in 2usize..=5,
         lanes in 2usize..=6,
         seed in 0u64..(1u64 << 48),
     ) {
         let games = ensemble(n, lanes, seed);
         let lane_results = BatchSolver::default().with_lanes(4).solve_games(&games);
-        // Cold scalar grid-scan solves: the historical reference engine.
-        let grid_results = BatchSolver::default().cold().solve_games(&games);
-        for (l, (lane, grid)) in lane_results.iter().zip(&grid_results).enumerate() {
-            let (lane, grid) = (lane.as_ref().unwrap(), grid.as_ref().unwrap());
-            prop_assert!(lane.converged && grid.converged);
+        let scalar_results = BatchSolver::default().cold().solve_games(&games);
+        for (l, (lane, scalar)) in lane_results.iter().zip(&scalar_results).enumerate() {
+            let (lane, scalar) = (lane.as_ref().unwrap(), scalar.as_ref().unwrap());
+            prop_assert!(lane.converged && scalar.converged);
+            prop_assert_eq!(lane.iterations, scalar.iterations);
+            prop_assert_eq!(lane.residual.to_bits(), scalar.residual.to_bits());
             for i in 0..n {
                 prop_assert!(
-                    (lane.subsidies[i] - grid.subsidies[i]).abs() < 1e-7,
-                    "lane {} CP {}: threshold {} vs grid {}",
-                    l, i, lane.subsidies[i], grid.subsidies[i]
+                    lane.subsidies[i].to_bits() == scalar.subsidies[i].to_bits(),
+                    "lane {} CP {}: lane {} vs scalar {}",
+                    l, i, lane.subsidies[i], scalar.subsidies[i]
                 );
             }
         }
@@ -168,7 +166,7 @@ proptest! {
 /// read as documentation: an oversized `K` collapses to one undersized
 /// block, a trailing partial chunk stays in the lane engine, and
 /// lane-ineligible games (the non-paper clamped-price convention) fall
-/// back to scalar threshold solves without disturbing result order.
+/// back to scalar solves without disturbing result order.
 mod blocking_pins {
     use super::*;
 
@@ -212,7 +210,7 @@ mod blocking_pins {
     fn ineligible_games_fall_back_to_scalar_threshold_solves_in_order() {
         // Alternate eligible and clamped-price (lane-ineligible) games.
         // Every game — either path — must match its own cold scalar
-        // threshold solve bit for bit, in the original order.
+        // solve bit for bit, in the original order.
         let games: Vec<SubsidyGame> = ensemble(3, 6, 47)
             .into_iter()
             .enumerate()
@@ -221,7 +219,7 @@ mod blocking_pins {
         assert!(games[0].clamps_effective_price() && !games[1].clamps_effective_price());
 
         let batch = BatchSolver::default().with_lanes(4).solve_games(&games);
-        let scalar = NashSolver::default().with_threshold_br(true);
+        let scalar = NashSolver::default();
         let mut ws = SolveWorkspace::new();
         for (l, (game, got)) in games.iter().zip(&batch).enumerate() {
             let stats = scalar.solve_into(game, WarmStart::Zero, &mut ws).unwrap();

@@ -106,7 +106,8 @@ fn theorem5_profitability_raises_subsidy() {
     let game = SubsidyGame::new(section5_system(), 0.8, 1.0).unwrap();
     let base = solver().solve(&game).unwrap();
     // Raise CP 5's profitability (a2-b5-v1 -> v = 1.4).
-    let richer = game.with_profitability(5, 1.4).unwrap();
+    let mut richer = game.clone();
+    richer.set_profitability(5, 1.4).unwrap();
     let eq2 = solver().solve(&richer).unwrap();
     assert!(
         eq2.subsidies[5] >= base.subsidies[5] - 1e-9,
@@ -127,8 +128,12 @@ fn theorem6_sensitivities_match_resolved_equilibria() {
     let sens = Sensitivity::compute(&game, &eq.subsidies).unwrap();
     assert!(sens.regular);
     let h = 1e-4;
-    let hi = solver().solve(&game.with_cap(q + h).unwrap()).unwrap();
-    let lo = solver().solve(&game.with_cap(q - h).unwrap()).unwrap();
+    let at_cap = |cap: f64| {
+        let mut g = game.clone();
+        g.set_cap(cap).unwrap();
+        solver().solve(&g).unwrap()
+    };
+    let (hi, lo) = (at_cap(q + h), at_cap(q - h));
     for i in 0..8 {
         let fd = (hi.subsidies[i] - lo.subsidies[i]) / (2.0 * h);
         assert!(
@@ -166,7 +171,8 @@ fn theorem7_marginal_revenue_formula() {
     // Numeric check with re-solved equilibria.
     let h = 1e-4;
     let rev = |p: f64| {
-        let g = game.with_price(p).unwrap();
+        let mut g = game.clone();
+        g.set_price(p).unwrap();
         solver.solve(&g).unwrap().isp_revenue(&g)
     };
     let fd = (rev(0.8 + h) - rev(0.8 - h)) / (2.0 * h);
@@ -202,7 +208,8 @@ fn corollary2_welfare_condition_consistent() {
     // And against re-solved welfare.
     let h = 1e-4;
     let w = |qq: f64| {
-        let g = game.with_cap(qq).unwrap();
+        let mut g = game.clone();
+        g.set_cap(qq).unwrap();
         let e = solver.solve(&g).unwrap();
         welfare(&g, &e.state)
     };
@@ -219,7 +226,8 @@ fn theorem5_subsidy_monotone_in_profitability_across_grid() {
     let solver = solver();
     let mut prev = -f64::INFINITY;
     for v in [0.6, 0.8, 1.0, 1.2, 1.5, 2.0] {
-        let game = base.with_profitability(5, v).unwrap();
+        let mut game = base.clone();
+        game.set_profitability(5, v).unwrap();
         let eq = solver.solve(&game).unwrap();
         assert!(eq.converged);
         assert!(
@@ -232,7 +240,8 @@ fn theorem5_subsidy_monotone_in_profitability_across_grid() {
         prev = eq.subsidies[5];
     }
     // The sweep must actually traverse the interior and reach the cap.
-    let rich = base.with_profitability(5, 2.0).unwrap();
+    let mut rich = base;
+    rich.set_profitability(5, 2.0).unwrap();
     let pinned = solver.solve(&rich).unwrap();
     assert!((pinned.subsidies[5] - rich.effective_cap(5)).abs() < 1e-6);
 }

@@ -1,4 +1,4 @@
-//! The simulators against the analytic model (DESIGN.md experiment E3):
+//! The simulators against the analytic model (extension experiment E3):
 //! the Definition 1 fixed point emerges from a stochastic flow-level
 //! link, and myopic market agents find the analytic Nash equilibrium.
 

@@ -8,8 +8,11 @@ use subcomp::game::best_response::{deviation_gap, BrConfig};
 use subcomp::game::dynamics::gradient_flow;
 use subcomp::game::equilibrium::verify_equilibrium;
 use subcomp::game::game::SubsidyGame;
-use subcomp::game::nash::NashSolver;
-use subcomp::game::vi::{extragradient_solve, natural_residual, projection_solve, ViConfig};
+use subcomp::game::nash::{NashSolver, WarmStart};
+use subcomp::game::vi::{
+    extragradient_solve_into, natural_residual, projection_solve_into, ViConfig,
+};
+use subcomp::game::workspace::SolveWorkspace;
 use subcomp::model::aggregation::{build_system, ExpCpSpec};
 use subcomp_exp::scenarios::random_system;
 
@@ -91,13 +94,14 @@ fn br_vi_and_certificates_agree_on_random_markets() {
     for seed in [1u64, 2, 3, 4, 5] {
         let game = game_for_seed(seed);
         let br = NashSolver::default().with_tol(1e-9).solve(&game).unwrap();
-        let vi = projection_solve(&game, &[0.0; 5], &ViConfig::default()).unwrap();
+        let mut vi = SolveWorkspace::for_game(&game);
+        projection_solve_into(&game, &[0.0; 5], &ViConfig::default(), &mut vi).unwrap();
         for i in 0..5 {
             assert!(
-                (br.subsidies[i] - vi.subsidies[i]).abs() < 1e-5,
+                (br.subsidies[i] - vi.subsidies()[i]).abs() < 1e-5,
                 "seed {seed} CP {i}: BR {} vs VI {}",
                 br.subsidies[i],
-                vi.subsidies[i]
+                vi.subsidies()[i]
             );
         }
         // Certificates.
@@ -112,9 +116,10 @@ fn br_vi_and_certificates_agree_on_random_markets() {
 fn extragradient_agrees_with_gauss_seidel() {
     let game = game_for_seed(7);
     let br = NashSolver::default().solve(&game).unwrap();
-    let eg = extragradient_solve(&game, &[0.2; 5], &ViConfig::default()).unwrap();
+    let mut eg = SolveWorkspace::for_game(&game);
+    extragradient_solve_into(&game, &[0.2; 5], &ViConfig::default(), &mut eg).unwrap();
     for i in 0..5 {
-        assert!((br.subsidies[i] - eg.subsidies[i]).abs() < 1e-5);
+        assert!((br.subsidies[i] - eg.subsidies()[i]).abs() < 1e-5);
     }
 }
 
@@ -155,11 +160,12 @@ fn warm_and_cold_starts_unique_equilibrium() {
     for seed in [21u64, 22, 23] {
         let game = game_for_seed(seed);
         let solver = NashSolver::default();
-        let a = solver.solve_from(&game, &[0.0; 5]).unwrap();
+        let a = solver.solve(&game).unwrap();
         let caps: Vec<f64> = (0..5).map(|i| game.effective_cap(i)).collect();
-        let b = solver.solve_from(&game, &caps).unwrap();
+        let mut b = SolveWorkspace::for_game(&game);
+        solver.solve_into(&game, WarmStart::Profile(&caps), &mut b).unwrap();
         for i in 0..5 {
-            assert!((a.subsidies[i] - b.subsidies[i]).abs() < 1e-6, "seed {seed} CP {i}");
+            assert!((a.subsidies[i] - b.subsidies()[i]).abs() < 1e-6, "seed {seed} CP {i}");
         }
     }
 }

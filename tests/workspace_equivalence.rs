@@ -1,21 +1,16 @@
 //! Property tier for the workspace engine: on random games, solves through
-//! a reused [`SolveWorkspace`] must match the fresh-allocation wrappers
+//! a reused [`SolveWorkspace`] must match solves on a fresh one
 //! **bit-exactly** — same subsidies, state, utilities, sweep counts and
 //! residual bits — across Gauss–Seidel, damped Jacobi and both VI methods,
 //! including a workspace hopping between games of different sizes.
 //!
-//! This is the contract that lets `solve`, `solve_from`,
-//! `projection_solve` and `extragradient_solve` remain thin shims over the
-//! engine (and what keeps the golden snapshots byte-identical across the
-//! allocation-free refactor).
+//! This is the contract that lets `NashSolver::solve` remain a thin shim
+//! over the engine and lets batch callers reuse one workspace per worker.
 
 use proptest::prelude::*;
 use subcomp::game::game::SubsidyGame;
 use subcomp::game::nash::{NashSolver, WarmStart};
-use subcomp::game::vi::{
-    extragradient_solve, extragradient_solve_into, projection_solve, projection_solve_into,
-    ViConfig,
-};
+use subcomp::game::vi::{extragradient_solve_into, projection_solve_into, ViConfig};
 use subcomp::game::workspace::SolveWorkspace;
 use subcomp::model::aggregation::{build_system, ExpCpSpec};
 
@@ -77,12 +72,16 @@ proptest! {
         let game = SubsidyGame::new(build_system(&specs, 1.0).unwrap(), p, q).unwrap();
         let s0 = vec![warm; game.n()];
         let solver = NashSolver::default().with_tol(1e-8);
-        let fresh = solver.solve_from(&game, &s0).unwrap();
+        let mut fresh = SolveWorkspace::for_game(&game);
+        let want = solver.solve_into(&game, WarmStart::Profile(&s0), &mut fresh).unwrap();
+        // A workspace still holding another solve's iterate: the explicit
+        // profile must fully replace it.
         let mut ws = SolveWorkspace::for_game(&game);
+        solver.solve_into(&game, WarmStart::Zero, &mut ws).unwrap();
         let stats = solver.solve_into(&game, WarmStart::Profile(&s0), &mut ws).unwrap();
-        prop_assert_eq!(bits(ws.subsidies()), bits(&fresh.subsidies));
-        prop_assert_eq!(stats.iterations, fresh.iterations);
-        prop_assert_eq!(stats.residual.to_bits(), fresh.residual.to_bits());
+        prop_assert_eq!(bits(ws.subsidies()), bits(fresh.subsidies()));
+        prop_assert_eq!(stats.iterations, want.iterations);
+        prop_assert_eq!(stats.residual.to_bits(), want.residual.to_bits());
     }
 
     #[test]
@@ -98,16 +97,18 @@ proptest! {
         let mut ws = SolveWorkspace::new();
         for game in [&game_a, &game_b, &game_a] {
             let s0 = vec![0.0; game.n()];
-            let fresh_pj = projection_solve(game, &s0, &cfg).unwrap();
+            let mut fresh = SolveWorkspace::for_game(game);
+            let fresh_pj = projection_solve_into(game, &s0, &cfg, &mut fresh).unwrap();
             let pj = projection_solve_into(game, &s0, &cfg, &mut ws).unwrap();
-            prop_assert_eq!(bits(ws.subsidies()), bits(&fresh_pj.subsidies));
-            prop_assert_eq!(ws.state().phi.to_bits(), fresh_pj.state.phi.to_bits());
+            prop_assert_eq!(bits(ws.subsidies()), bits(fresh.subsidies()));
+            prop_assert_eq!(ws.state().phi.to_bits(), fresh.state().phi.to_bits());
             prop_assert_eq!(pj.iterations, fresh_pj.iterations);
             prop_assert_eq!(pj.natural_residual.to_bits(), fresh_pj.natural_residual.to_bits());
 
-            let fresh_eg = extragradient_solve(game, &s0, &cfg).unwrap();
+            let mut fresh = SolveWorkspace::for_game(game);
+            let fresh_eg = extragradient_solve_into(game, &s0, &cfg, &mut fresh).unwrap();
             let eg = extragradient_solve_into(game, &s0, &cfg, &mut ws).unwrap();
-            prop_assert_eq!(bits(ws.subsidies()), bits(&fresh_eg.subsidies));
+            prop_assert_eq!(bits(ws.subsidies()), bits(fresh.subsidies()));
             prop_assert_eq!(eg.iterations, fresh_eg.iterations);
             prop_assert_eq!(eg.natural_residual.to_bits(), fresh_eg.natural_residual.to_bits());
         }
