@@ -7,12 +7,12 @@
 //!
 //! Each utility evaluation requires re-solving the congestion fixed point.
 //! The Nash solvers iterate the Theorem 3 threshold engine
-//! (`best_response_threshold_into`): a root of the analytic marginal
-//! utility. The grid scan ([`best_response`]) is the robust fallback for
-//! profiles the threshold engine declines and the public reference: a
-//! coarse scan localizes the maximum (corner solutions at both ends are
-//! *expected* equilibria per Theorem 3), then Brent polishing refines
-//! interior candidates.
+//! (`nash_best_response_into`): a root of the analytic marginal utility.
+//! The grid scan ([`best_response`]) is the robust fallback for profiles
+//! the threshold engine declines and the public reference: a coarse scan
+//! localizes the maximum (corner solutions at both ends are *expected*
+//! equilibria per Theorem 3), then Brent polishing refines interior
+//! candidates.
 
 use crate::game::SubsidyGame;
 use std::cell::RefCell;
@@ -32,6 +32,19 @@ pub struct BestResponse {
     pub evaluations: usize,
 }
 
+/// One best response of the Nash iteration: the subsidy alone, since the
+/// iteration reads nothing else and the utility would cost one more
+/// fixed-point solve, plus the work it took.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct BrStep {
+    /// The best-response subsidy.
+    pub s: f64,
+    /// Fixed points solved, the probes of a declined threshold included.
+    pub phi_solves: usize,
+    /// Whether the threshold engine declined and the grid scan answered.
+    pub fallback: bool,
+}
+
 /// Configuration for the grid-scan best-response search.
 #[derive(Debug, Clone, Copy)]
 pub struct BrConfig {
@@ -48,17 +61,29 @@ impl Default for BrConfig {
 }
 
 /// Computes provider `i`'s best response to the profile `s` (the value of
-/// `s[i]` itself is ignored) — a thin shim allocating throwaway buffers
-/// for [`best_response_into`], the engine the Nash solvers iterate.
+/// `s[i]` itself is ignored) by the grid scan, allocating throwaway
+/// buffers. `evaluations` counts every fixed-point solve, the marginal
+/// refinement's included (duplicate endpoint evaluations are reused, not
+/// recomputed).
 pub fn best_response(
     game: &SubsidyGame,
     i: usize,
     s: &[f64],
     cfg: &BrConfig,
 ) -> NumResult<BestResponse> {
+    // The components other than `i` never change, so validate once. A
+    // failure maps to the same error an objective that is non-finite
+    // everywhere surfaces.
+    if game.validate(s).is_err() {
+        return Err(NumError::NonFinite { what: "grid_scan objective", at: 0.0 });
+    }
     let mut m = Vec::new();
     let mut scratch = game.system().make_scratch();
-    best_response_into(game, i, s, cfg, &mut m, &mut scratch)
+    game.populations_for(s, &mut m);
+    let mut obj =
+        Counted { obj: GameBrObjective { game, i, m: &mut m, scratch: &mut scratch }, solves: 0 };
+    let (s, utility) = grid_br_core(&mut obj, cfg)?;
+    Ok(BestResponse { s, utility, evaluations: obj.solves })
 }
 
 /// A single-provider objective the two best-response engines below
@@ -98,44 +123,73 @@ impl BrObjective for GameBrObjective<'_> {
     }
 }
 
-/// The allocation-free best-response engine: grid localization, Brent
-/// polish of the cell, then (for interior maximizers, which
-/// value-comparison locates only to ~sqrt(eps)) a root-finding refinement
-/// of the *analytic* marginal utility `u_i(s_i) = 0` — the ~1e-12
-/// accuracy the sensitivity analysis (Theorem 6) needs. Every transient
-/// lives in the caller's buffers: `m` caches the populations of the
-/// frozen components `s_{-i}` (they do not depend on `s_i`), so each
-/// objective evaluation recomputes only `m[i]` and the congestion fixed
-/// point. `evaluations` counts actual fixed-point solves (duplicate
-/// endpoint evaluations are reused, not recomputed).
-pub(crate) fn best_response_into(
+/// A [`BrObjective`] counting the fixed points its probes solve: the one
+/// place best-response work is counted, whichever engine runs.
+struct Counted<O> {
+    obj: O,
+    solves: usize,
+}
+
+impl<O: BrObjective> BrObjective for Counted<O> {
+    fn cap(&self) -> f64 {
+        self.obj.cap()
+    }
+    fn utility(&mut self, si: f64) -> NumResult<f64> {
+        self.solves += 1;
+        self.obj.utility(si)
+    }
+    fn marginal(&mut self, si: f64) -> NumResult<f64> {
+        self.solves += 1;
+        self.obj.marginal(si)
+    }
+}
+
+/// One best response of the Nash iteration over a scalar game: validates
+/// the profile once, caches the frozen components' populations in `m`
+/// (they do not depend on `s_i`, so each probe recomputes only `m[i]` and
+/// the congestion fixed point), then runs [`nash_br_core`].
+pub(crate) fn nash_best_response_into(
     game: &SubsidyGame,
     i: usize,
     s: &[f64],
+    hint: f64,
     cfg: &BrConfig,
     m: &mut Vec<f64>,
     scratch: &mut StateScratch,
-) -> NumResult<BestResponse> {
-    // The allocating path validates the probed profile on every objective
-    // evaluation; the components other than `i` never change, so validate
-    // once. A failure maps to the same error the allocating path surfaces
-    // when every objective evaluation comes back non-finite.
+) -> NumResult<BrStep> {
     if game.validate(s).is_err() {
-        return Err(NumError::NonFinite { what: "grid_scan objective", at: 0.0 });
+        return Err(NumError::NonFinite { what: "threshold best-response profile", at: 0.0 });
     }
     game.populations_for(s, m);
-    grid_br_core(GameBrObjective { game, i, m, scratch }, cfg)
+    nash_br_core(GameBrObjective { game, i, m, scratch }, hint, cfg)
+}
+
+/// The best-response body both Nash solvers run, scalar and lane alike:
+/// the Theorem 3 threshold engine, and the grid scan for a provider whose
+/// marginal it declines. Agrees with [`best_response`] to the shared root
+/// tolerance (~1e-12) at interior optima and exactly at corners; it is
+/// not bit-identical (different probe sequence).
+pub(crate) fn nash_br_core<O: BrObjective>(obj: O, hint: f64, cfg: &BrConfig) -> NumResult<BrStep> {
+    let mut obj = Counted { obj, solves: 0 };
+    if let Some(s) = threshold_br_core(&mut obj, hint)? {
+        return Ok(BrStep { s, phi_solves: obj.solves, fallback: false });
+    }
+    let (s, _) = grid_br_core(&mut obj, cfg)?;
+    Ok(BrStep { s, phi_solves: obj.solves, fallback: true })
 }
 
 /// The grid-scan engine body, generic over the objective (see
-/// [`BrObjective`]). Probe sequence, constants and acceptance rules are
-/// the literal former `best_response_into` body — goldens pin the bits.
-pub(crate) fn grid_br_core<O: BrObjective>(obj: O, cfg: &BrConfig) -> NumResult<BestResponse> {
+/// [`BrObjective`]): grid localization, Brent polish of the cell, then
+/// (for interior maximizers, which value-comparison locates only to
+/// ~sqrt(eps)) a root-finding refinement of the *analytic* marginal
+/// utility `u_i(s_i) = 0` — the ~1e-12 accuracy the sensitivity analysis
+/// (Theorem 6) needs. Returns the maximizer and its utility.
+fn grid_br_core<O: BrObjective>(obj: &mut O, cfg: &BrConfig) -> NumResult<(f64, f64)> {
     let hi = obj.cap();
     let buffers = RefCell::new(obj);
     let f = |si: f64| buffers.borrow_mut().utility(si).unwrap_or(f64::NEG_INFINITY);
     let m = maximize_scalar_reusing_ends(&f, 0.0, hi, cfg.grid, cfg.tol)?;
-    let mut best = BestResponse { s: m.x, utility: m.value, evaluations: m.evaluations };
+    let mut best = (m.x, m.value);
     let interior_margin = 1e-5 * (1.0 + hi);
     if m.x > interior_margin && m.x < hi - interior_margin {
         let u_of = |si: f64| buffers.borrow_mut().marginal(si).unwrap_or(f64::NAN);
@@ -146,7 +200,7 @@ pub(crate) fn grid_br_core<O: BrObjective>(obj: O, cfg: &BrConfig) -> NumResult<
             let b = (m.x + delta).min(hi);
             let (ua, ub) = (u_of(a), u_of(b));
             if ua.is_finite() && ub.is_finite() && ua >= 0.0 && ub <= 0.0 {
-                bracket = Some((subcomp_num::roots::Bracket::new(a, b), ua, ub));
+                bracket = Some((Bracket::new(a, b), ua, ub));
                 break;
             }
             delta *= 2.0;
@@ -157,16 +211,12 @@ pub(crate) fn grid_br_core<O: BrObjective>(obj: O, cfg: &BrConfig) -> NumResult<
                 br,
                 ua,
                 ub,
-                subcomp_num::Tolerance::new(1e-13, 1e-13).with_max_iter(120),
+                Tolerance::new(1e-13, 1e-13).with_max_iter(120),
             ) {
                 let refined = root.x.clamp(0.0, hi);
                 let val = f(refined);
-                if val.is_finite() && val >= best.utility - 1e-12 {
-                    best = BestResponse {
-                        s: refined,
-                        utility: val,
-                        evaluations: best.evaluations + root.evaluations,
-                    };
+                if val.is_finite() && val >= best.1 - 1e-12 {
+                    best = (refined, val);
                 }
             }
         }
@@ -180,49 +230,23 @@ pub(crate) fn grid_br_core<O: BrObjective>(obj: O, cfg: &BrConfig) -> NumResult<
 /// threshold `τ_i` (Assumptions 1–2 guarantee this structure). Three
 /// marginal probes classify the corners; an interior threshold is a Brent
 /// root of the *analytic* `u_i`, seeded near `hint` (the continuation
-/// iterate) so nearby grid points converge in a handful of probes.
+/// iterate) so nearby grid points converge in a handful of probes. Every
+/// exit returns after the last marginal probe: no utility is solved for,
+/// except on a zero-width box, where one utility solve is the only probe
+/// and surfaces a failing fixed point as an error.
 ///
 /// Returns `Ok(None)` when the observed signs do not match the single-
 /// crossing structure (non-finite probes, a non-exponential family
-/// violating the assumptions numerically) — the caller falls back to the
-/// robust grid-scan engine, so this path can never *wrongly*
-/// answer, only decline. Agrees with [`best_response_into`] to the shared
-/// root tolerance (~1e-12) at interior optima and exactly at corners; it
-/// is not bit-identical (different probe sequence). This is the best
-/// response every Nash solver iterates.
-pub(crate) fn best_response_threshold_into(
-    game: &SubsidyGame,
-    i: usize,
-    s: &[f64],
-    hint: f64,
-    m: &mut Vec<f64>,
-    scratch: &mut StateScratch,
-) -> NumResult<Option<BestResponse>> {
-    if game.validate(s).is_err() {
-        return Err(NumError::NonFinite { what: "threshold best-response profile", at: 0.0 });
-    }
-    game.populations_for(s, m);
-    threshold_br_core(GameBrObjective { game, i, m, scratch }, hint)
-}
-
-/// The threshold engine body, generic over the objective (see
-/// [`BrObjective`]). Probe sequence, constants and corner logic are the
-/// literal former `best_response_threshold_into` body.
-pub(crate) fn threshold_br_core<O: BrObjective>(
-    obj: O,
-    hint: f64,
-) -> NumResult<Option<BestResponse>> {
+/// violating the assumptions numerically) — [`nash_br_core`] then falls
+/// back to the robust grid scan, so this path can never *wrongly* answer,
+/// only decline.
+fn threshold_br_core<O: BrObjective>(obj: &mut O, hint: f64) -> NumResult<Option<f64>> {
     let hi = obj.cap();
-    let buffers = RefCell::new(obj);
     if hi <= 0.0 {
-        let utility = buffers.borrow_mut().utility(0.0)?;
-        return Ok(Some(BestResponse { s: 0.0, utility, evaluations: 1 }));
+        obj.utility(0.0)?;
+        return Ok(Some(0.0));
     }
-    let evals = std::cell::Cell::new(0usize);
-    let mut u_of = |si: f64| {
-        evals.set(evals.get() + 1);
-        buffers.borrow_mut().marginal(si).unwrap_or(f64::NAN)
-    };
+    let mut u_of = |si: f64| obj.marginal(si).unwrap_or(f64::NAN);
     // Corner classification (Theorem 3's KKT cases).
     let u0 = u_of(0.0);
     if !u0.is_finite() {
@@ -230,8 +254,7 @@ pub(crate) fn threshold_br_core<O: BrObjective>(
     }
     if u0 <= 0.0 {
         // τ_i ≤ 0: the margin loss dominates from the start.
-        let utility = buffers.borrow_mut().utility(0.0)?;
-        return Ok(Some(BestResponse { s: 0.0, utility, evaluations: evals.get() + 1 }));
+        return Ok(Some(0.0));
     }
     let u_hi = u_of(hi);
     if !u_hi.is_finite() {
@@ -239,8 +262,7 @@ pub(crate) fn threshold_br_core<O: BrObjective>(
     }
     if u_hi >= 0.0 {
         // τ_i ≥ min(q, v_i): pinned at the effective cap.
-        let utility = buffers.borrow_mut().utility(hi)?;
-        return Ok(Some(BestResponse { s: hi, utility, evaluations: evals.get() + 1 }));
+        return Ok(Some(hi));
     }
     // Interior threshold: u(0) > 0 > u(hi). Shrink the bracket around the
     // continuation hint first — under continuation the root moved O(Δp)
@@ -252,8 +274,7 @@ pub(crate) fn threshold_br_core<O: BrObjective>(
         return Ok(None);
     }
     if u_hint == 0.0 {
-        let utility = buffers.borrow_mut().utility(hint)?;
-        return Ok(Some(BestResponse { s: hint, utility, evaluations: evals.get() + 1 }));
+        return Ok(Some(hint));
     }
     let delta = 1e-2 * (1.0 + hi);
     let (br, ua, ub) = if u_hint > 0.0 {
@@ -282,9 +303,7 @@ pub(crate) fn threshold_br_core<O: BrObjective>(
     ) else {
         return Ok(None);
     };
-    let s_star = root.x.clamp(0.0, hi);
-    let utility = buffers.borrow_mut().utility(s_star)?;
-    Ok(Some(BestResponse { s: s_star, utility, evaluations: evals.get() + 1 }))
+    Ok(Some(root.x.clamp(0.0, hi)))
 }
 
 /// The maximum utility any provider can gain by unilaterally deviating
@@ -399,16 +418,17 @@ mod tests {
             for hint in [0.0, 0.5 * grid.s, grid.s, g.effective_cap(0)] {
                 let mut m = Vec::new();
                 let mut scratch = g.system().make_scratch();
-                let thr = best_response_threshold_into(&g, 0, &[0.0], hint, &mut m, &mut scratch)
-                    .unwrap()
-                    .expect("exponential family satisfies the Theorem 3 structure");
+                let cfg = BrConfig::default();
+                let thr = nash_best_response_into(&g, 0, &[0.0], hint, &cfg, &mut m, &mut scratch)
+                    .unwrap();
+                assert!(!thr.fallback, "exponential family satisfies the Theorem 3 structure");
                 assert!(
                     (thr.s - grid.s).abs() < 1e-9,
                     "(α={alpha}, v={v}, p={p}, q={q}, hint={hint}): threshold {} vs grid {}",
                     thr.s,
                     grid.s
                 );
-                assert!((thr.utility - grid.utility).abs() < 1e-9);
+                assert!((g.utility(0, &[thr.s]).unwrap() - grid.utility).abs() < 1e-9);
             }
         }
     }
@@ -418,10 +438,10 @@ mod tests {
         let g = single_cp_game(5.0, 1.0, 0.8, 0.0);
         let mut m = Vec::new();
         let mut scratch = g.system().make_scratch();
-        let thr = best_response_threshold_into(&g, 0, &[0.0], 0.3, &mut m, &mut scratch)
-            .unwrap()
-            .unwrap();
-        assert_eq!(thr.s, 0.0);
+        let thr =
+            nash_best_response_into(&g, 0, &[0.0], 0.3, &BrConfig::default(), &mut m, &mut scratch)
+                .unwrap();
+        assert_eq!(thr, BrStep { s: 0.0, phi_solves: 1, fallback: false });
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! per lane); [`LaneSolver`] runs the Gauss–Seidel best-response sweep
 //! *column-outer, lanes-inner*: for each provider column `i`, every
 //! still-active lane computes its best response through the same
-//! [`threshold_br_core`]/[`grid_br_core`] engine bodies the scalar
-//! [`crate::nash::NashSolver`] runs. Converged lanes freeze — their
+//! [`nash_br_core`] engine body the scalar [`crate::nash::NashSolver`]
+//! runs. Converged lanes freeze — their
 //! iterate, state and utilities are assembled once and never touched
 //! again — while iteration continues until the active mask is empty.
 //!
@@ -33,7 +33,7 @@
 //! order-independent — values are unchanged. Plain copies use
 //! `copy_from_slice` (a single `memcpy`).
 
-use crate::best_response::{grid_br_core, threshold_br_core, BrConfig, BrObjective};
+use crate::best_response::{nash_br_core, BrConfig, BrObjective};
 use crate::game::SubsidyGame;
 use crate::nash::SolveStats;
 use crate::workspace::SolveWorkspace;
@@ -215,8 +215,7 @@ impl LaneWorkspace {
         self.utilities.resize(total, 0.0);
         self.exp.resize(self.exp.len().max(game.system().max_distinct_betas()), 0.0);
         self.active.resize(game.lanes(), false);
-        self.stats
-            .resize(game.lanes(), SolveStats { iterations: 0, residual: 0.0, converged: false });
+        self.stats.resize(game.lanes(), SolveStats::default());
         self.errors.resize(game.lanes(), None);
         self.phi.resize(game.lanes(), 0.0);
         self.dg_dphi.resize(game.lanes(), 0.0);
@@ -327,8 +326,7 @@ impl LaneSolver {
                 ws.m[base + j] = game.system.population(lane, j, game.price[lane] - ws.s[base + j]);
             }
             ws.active[lane] = true;
-            ws.stats[lane] =
-                SolveStats { iterations: 0, residual: f64::INFINITY, converged: false };
+            ws.stats[lane] = SolveStats { residual: f64::INFINITY, ..SolveStats::default() };
             ws.errors[lane] = None;
         }
         let mut remaining = lanes;
@@ -351,31 +349,17 @@ impl LaneSolver {
                     }
                     let base = lane * n;
                     let hint = ws.s[base + i];
-                    let br = {
-                        let obj = LaneBrObjective {
-                            game,
-                            lane,
-                            i,
-                            m: &mut ws.m[base..base + n],
-                            exp: &mut ws.exp,
-                        };
-                        match threshold_br_core(obj, hint) {
-                            Ok(Some(br)) => Ok(br),
-                            Ok(None) => grid_br_core(
-                                LaneBrObjective {
-                                    game,
-                                    lane,
-                                    i,
-                                    m: &mut ws.m[base..base + n],
-                                    exp: &mut ws.exp,
-                                },
-                                &self.br,
-                            ),
-                            Err(e) => Err(e),
-                        }
+                    let obj = LaneBrObjective {
+                        game,
+                        lane,
+                        i,
+                        m: &mut ws.m[base..base + n],
+                        exp: &mut ws.exp,
                     };
-                    match br {
+                    match nash_br_core(obj, hint, &self.br) {
                         Ok(br) => {
+                            ws.stats[lane].phi_solves += br.phi_solves;
+                            ws.stats[lane].br_fallbacks += usize::from(br.fallback);
                             ws.next[base + i] =
                                 (1.0 - self.damping) * ws.s[base + i] + self.damping * br.s;
                             // Restore the cache invariant: m reflects the
@@ -389,11 +373,8 @@ impl LaneSolver {
                         Err(e) => {
                             ws.active[lane] = false;
                             ws.errors[lane] = Some(e);
-                            ws.stats[lane] = SolveStats {
-                                iterations: sweep + 1,
-                                residual: f64::INFINITY,
-                                converged: false,
-                            };
+                            let stats = &mut ws.stats[lane];
+                            (stats.iterations, stats.residual) = (sweep + 1, f64::INFINITY);
                             remaining -= 1;
                         }
                     }
@@ -407,18 +388,16 @@ impl LaneSolver {
                 let residual = sup_diff_tiled(&ws.s[base..base + n], &ws.next[base..base + n]);
                 let (s_block, next_block) = (&mut ws.s[base..base + n], &ws.next[base..base + n]);
                 s_block.copy_from_slice(next_block);
+                let stats = &mut ws.stats[lane];
+                (stats.iterations, stats.residual) = (sweep + 1, residual);
                 if residual <= self.tol {
                     ws.active[lane] = false;
                     remaining -= 1;
-                    ws.stats[lane] =
-                        SolveStats { iterations: sweep + 1, residual, converged: true };
+                    stats.converged = true;
                     if let Err(e) = finish_lane(game, ws, lane) {
                         ws.errors[lane] = Some(e);
                         ws.stats[lane].converged = false;
                     }
-                } else {
-                    ws.stats[lane] =
-                        SolveStats { iterations: sweep + 1, residual, converged: false };
                 }
             }
         }

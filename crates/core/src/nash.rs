@@ -19,7 +19,7 @@
 //! and [`crate::equilibrium::verify_equilibrium`] can be used post-hoc for
 //! an independent KKT/deviation certificate.
 
-use crate::best_response::{best_response_into, best_response_threshold_into, BrConfig};
+use crate::best_response::{nash_best_response_into, BrConfig};
 use crate::game::SubsidyGame;
 use crate::workspace::{SolveBudget, SolveWorkspace};
 use subcomp_model::system::SystemState;
@@ -238,7 +238,7 @@ impl NashSolver {
         ws.ensure(game);
         if n == 0 {
             game.state_into(&[], &mut ws.prices, &mut ws.scratch, &mut ws.state)?;
-            return Ok(SolveStats { iterations: 0, residual: 0.0, converged: true });
+            return Ok(SolveStats { converged: true, ..SolveStats::default() });
         }
         // Clamp the start into the effective box [0, min(q, v_i)].
         match start {
@@ -274,6 +274,7 @@ impl NashSolver {
             }
         }
         let mut residual = f64::INFINITY;
+        let (mut phi_solves, mut br_fallbacks) = (0usize, 0usize);
         for sweep in 0..self.max_sweeps {
             ws.next.copy_from_slice(&ws.s);
             if self.mode == SweepMode::Jacobi {
@@ -284,19 +285,17 @@ impl NashSolver {
                     SweepMode::GaussSeidel => &ws.next,
                     SweepMode::Jacobi => &ws.reference,
                 };
-                let br = match best_response_threshold_into(
+                let br = nash_best_response_into(
                     game,
                     i,
                     basis,
                     ws.s[i],
+                    &self.br,
                     &mut ws.m,
                     &mut ws.scratch,
-                )? {
-                    Some(br) => br,
-                    None => {
-                        best_response_into(game, i, basis, &self.br, &mut ws.m, &mut ws.scratch)?
-                    }
-                };
+                )?;
+                phi_solves += br.phi_solves;
+                br_fallbacks += usize::from(br.fallback);
                 ws.next[i] = (1.0 - self.damping) * ws.s[i] + self.damping * br.s;
             }
             residual = sub_inf_norm(&ws.s, &ws.next);
@@ -306,7 +305,13 @@ impl NashSolver {
                 for i in 0..n {
                     ws.utilities[i] = game.utility_at_state(i, &ws.s, &ws.state);
                 }
-                return Ok(SolveStats { iterations: sweep + 1, residual, converged: true });
+                return Ok(SolveStats {
+                    iterations: sweep + 1,
+                    residual,
+                    converged: true,
+                    phi_solves,
+                    br_fallbacks,
+                });
             }
             // A budget at or above max_sweeps defers to the MaxIterations
             // error below, so unlimited budgets stay bit-identical to the
@@ -319,7 +324,13 @@ impl NashSolver {
                 for i in 0..n {
                     ws.utilities[i] = game.utility_at_state(i, &ws.s, &ws.state);
                 }
-                return Ok(SolveStats { iterations: sweep + 1, residual, converged: false });
+                return Ok(SolveStats {
+                    iterations: sweep + 1,
+                    residual,
+                    converged: false,
+                    phi_solves,
+                    br_fallbacks,
+                });
             }
         }
         Err(NumError::MaxIterations { max_iter: self.max_sweeps, residual })
@@ -360,9 +371,11 @@ pub enum WarmStart<'a> {
 }
 
 /// Health summary of one [`NashSolver::solve_into`] run; the solution
-/// itself stays in the workspace. Mirrors the corresponding fields of
-/// [`NashSolution`] bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// itself stays in the workspace. `iterations`, `residual` and
+/// `converged` mirror the corresponding fields of [`NashSolution`]
+/// bit-for-bit; the work counters are deterministic functions of the game
+/// and the start, so they replay exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SolveStats {
     /// Best-response sweeps performed.
     pub iterations: usize,
@@ -370,6 +383,12 @@ pub struct SolveStats {
     pub residual: f64,
     /// Whether the residual met the tolerance within the budget.
     pub converged: bool,
+    /// Congestion fixed points solved by the best responses (the
+    /// solution-state assembly after the last sweep is not counted).
+    pub phi_solves: usize,
+    /// Best responses the threshold engine declined and the grid scan
+    /// answered instead.
+    pub br_fallbacks: usize,
 }
 
 impl SolveWorkspace {
@@ -562,6 +581,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn work_counters_price_the_section5_solve() {
+        // A threshold best response is a handful of marginal probes: two
+        // corner probes, the hint, one bracket probe and a superlinear
+        // Brent polish. A bisecting root kernel needs about 16.
+        let game = paper_game(0.5, 1.0);
+        let mut ws = SolveWorkspace::for_game(&game);
+        let stats = NashSolver::default().solve_into(&game, WarmStart::Zero, &mut ws).unwrap();
+        assert!(stats.converged);
+        assert_eq!(stats.br_fallbacks, 0, "the exponential family never declines");
+        let per_br = stats.phi_solves as f64 / (stats.iterations * game.n()) as f64;
+        assert!(per_br <= 10.0, "{per_br} φ-solves per best response");
+        // Counters are deterministic: a replay reads the same counts.
+        let replay = NashSolver::default().solve_into(&game, WarmStart::Zero, &mut ws).unwrap();
+        assert_eq!(replay, stats);
     }
 
     #[test]

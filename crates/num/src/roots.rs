@@ -202,6 +202,26 @@ pub fn bisection<F: Fn(f64) -> f64 + ?Sized>(
 /// functions, never worse than bisection. Implementation follows Brent
 /// (1973) as presented in *Numerical Recipes*, with the tolerance adapted to
 /// [`Tolerance`] semantics.
+///
+/// **Acceptance rule.** Let `b` be the best iterate, `c` the opposite end of
+/// the current bracket, `xm = (c − b)/2` and `tol1` the half-tolerance at
+/// `b`. An interpolated step `d = p/q` is taken only if
+/// `2p < min(3·xm·q − |tol1·q|, |e·q|)` (with `e` the step before last):
+/// the sign-carrying first term accepts only a step that points from `b`
+/// toward `c` and stops short of three quarters of the way there; the
+/// second halves the step size at least every other iteration. Every other
+/// case bisects. Hence every probe lies strictly inside the current
+/// bracket, whichever side of `b` the root is on.
+///
+/// **Convergence contract.** Returns once `|xm| ≤ tol1` or an exact zero is
+/// hit, with `x = b` the endpoint of smaller `|f|`. The second acceptance
+/// term keeps interpolation from stalling, so the worst case stays within
+/// Brent's bound of about the square of bisection's count; on a smooth
+/// simple root the interpolation converges superlinearly, typically in
+/// about a dozen evaluations at `1e-13` where bisection needs ~48.
+/// Errors: [`NumError::NoBracket`] when `f(a)` and `f(b)` share a sign,
+/// [`NumError::NonFinite`] on a non-finite probe and
+/// [`NumError::MaxIterations`] past `tol.max_iter`.
 pub fn brent<F: Fn(f64) -> f64 + ?Sized>(
     f: &F,
     bracket: Bracket,
@@ -218,7 +238,10 @@ pub fn brent<F: Fn(f64) -> f64 + ?Sized>(
 /// caller — the hot-path variant used after [`expand_upward_seeded`], which
 /// already knows both values. The iterate sequence (and hence the root) is
 /// bit-identical to [`brent`]; only the duplicate endpoint evaluations are
-/// skipped, so `evaluations` counts the polish evaluations alone.
+/// skipped, so `evaluations` counts the polish evaluations alone. The
+/// acceptance rule and convergence contract are [`brent`]'s. This is the
+/// one root kernel behind every congestion fixed point (scalar and lane)
+/// and every threshold best response.
 pub fn brent_seeded<F: FnMut(f64) -> f64 + ?Sized>(
     f: &mut F,
     bracket: Bracket,
@@ -274,7 +297,9 @@ pub fn brent_seeded<F: FnMut(f64) -> f64 + ?Sized>(
                 q = -q;
             }
             p = p.abs();
-            let min1 = 3.0 * xm * q.abs() - (tol1 * q).abs();
+            // Sign-carrying: negative unless the step points from b
+            // toward c, which then rejects it.
+            let min1 = 3.0 * xm * q - (tol1 * q).abs();
             let min2 = (e * q).abs();
             if 2.0 * p < min1.min(min2) {
                 e = d;
@@ -409,7 +434,9 @@ pub fn secant<F: Fn(f64) -> f64 + ?Sized>(
 /// expanding a bracket upward and applying Brent's method.
 ///
 /// This is the exact pattern needed for the utilization fixed point; exposed
-/// here so that model code and tests share one implementation.
+/// here so that model code and tests share one implementation. Evaluates
+/// `f(lo)` and hands over to [`solve_increasing_seeded`]; `evaluations`
+/// counts every call of `f`.
 pub fn solve_increasing<F: Fn(f64) -> f64 + ?Sized>(
     f: &F,
     lo: f64,
@@ -417,25 +444,21 @@ pub fn solve_increasing<F: Fn(f64) -> f64 + ?Sized>(
     tol: Tolerance,
 ) -> NumResult<RootResult> {
     let flo = check_finite("solve_increasing f(lo)", lo, f(lo))?;
-    if flo == 0.0 {
-        return Ok(RootResult { x: lo, residual: 0.0, evaluations: 1, iterations: 0 });
-    }
-    if flo > 0.0 {
-        // Strictly increasing with f(lo) > 0: no root to the right; the
-        // caller's model guarantees this cannot happen for non-degenerate
-        // inputs, so surface it as a bracket failure.
-        return Err(NumError::NoBracket { a: lo, b: lo, fa: flo, fb: flo });
-    }
-    let bracket = expand_upward(f, lo, lo + initial_step.max(f64::MIN_POSITIVE), 128)?;
-    brent(f, bracket, tol)
+    let mut result = solve_increasing_seeded(&mut |x| f(x), lo, flo, initial_step, tol)?;
+    result.evaluations += 1;
+    Ok(result)
 }
 
 /// [`solve_increasing`] with `f(lo)` supplied by the caller — the hot-path
 /// variant for callers that can compute `f(lo)` in closed form (e.g. the
 /// congestion gap at `φ = 0`, which is just the negated peak demand). The
 /// bracket expansion and every Brent iterate are bit-identical to
-/// [`solve_increasing`]; the duplicate `f(lo)` and bracket-endpoint
-/// evaluations are skipped, so `evaluations` counts actual calls only.
+/// [`solve_increasing`]; `evaluations` counts the calls made here, bracket
+/// expansion included.
+///
+/// `f(lo) > 0` is a [`NumError::NoBracket`]: a strictly increasing `f` has
+/// no root to the right, which the congestion model rules out for
+/// non-degenerate inputs.
 pub fn solve_increasing_seeded<F: FnMut(f64) -> f64 + ?Sized>(
     f: &mut F,
     lo: f64,
@@ -502,7 +525,56 @@ mod tests {
         assert!((r.x - CUBIC_ROOT).abs() < 1e-12, "x = {}", r.x);
         // Brent should need far fewer evaluations than bisection, which
         // needs ~48 at the `tight` tolerance on a width-3 bracket.
-        assert!(r.evaluations < 40, "evaluations = {}", r.evaluations);
+        assert!(r.evaluations <= 12, "evaluations = {}", r.evaluations);
+    }
+
+    #[test]
+    fn brent_mirrored_cubic_fast_and_accurate() {
+        // The mirror image puts the root left of the best iterate
+        // (`xm < 0`), the branch a sign-dropping acceptance test turns
+        // into pure bisection.
+        let f = |x: f64| -cubic(x);
+        let r = brent(&f, Bracket::new(0.0, 3.0), Tolerance::tight()).unwrap();
+        assert!((r.x - CUBIC_ROOT).abs() < 1e-12, "x = {}", r.x);
+        assert!(r.evaluations <= 12, "evaluations = {}", r.evaluations);
+    }
+
+    #[test]
+    fn brent_probes_stay_inside_the_bracket() {
+        // Record every probe and replay the sign-change bracket it
+        // implies: each probe must land strictly inside the bracket the
+        // previous probes left.
+        let cases: [(fn(f64) -> f64, f64, f64); 4] = [
+            (cubic, 0.0, 3.0),
+            (|x| -cubic(x), 0.0, 3.0),
+            (|x| (x / 3.0).exp() - 7.0, 0.0, 20.0),
+            (|x| 1.0 - 40.0 * (-4.0 * x).exp(), 0.0, 5.0),
+        ];
+        for (f, a, b) in cases {
+            let mut probes = Vec::new();
+            let (fa, fb) = (f(a), f(b));
+            let r = brent_seeded(
+                &mut |x| {
+                    probes.push(x);
+                    f(x)
+                },
+                Bracket::new(a, b),
+                fa,
+                fb,
+                Tolerance::tight(),
+            )
+            .unwrap();
+            assert!(f(r.x).abs() < 1e-9, "root {} of case on [{a}, {b}]", r.x);
+            let (mut lo, mut hi) = (a, b);
+            for &x in &probes {
+                assert!(lo < x && x < hi, "probe {x} outside ({lo}, {hi}) on [{a}, {b}]");
+                if (f(x) > 0.0) == (fa > 0.0) {
+                    lo = x;
+                } else {
+                    hi = x;
+                }
+            }
+        }
     }
 
     #[test]

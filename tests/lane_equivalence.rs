@@ -7,7 +7,8 @@
 //!    solve is bit-for-bit the scalar `NashSolver::default()` solve of
 //!    that lane's game from the zero profile — same probe sequence
 //!    through the shared best-response engine bodies, same φ-solves, same
-//!    population cache bits.
+//!    population cache bits, and so the same `phi_solves` and
+//!    `br_fallbacks` counters.
 //! 2. **Bit-identity vs the default batch.** Lane-mode `BatchSolver`
 //!    results equal the cold scalar `BatchSolver` bit for bit.
 //! 3. **Structural determinism.** Lane-mode batch results are
@@ -62,6 +63,10 @@ proptest! {
                 (Ok(stats), Ok(lane_stats)) => {
                     prop_assert_eq!(lane_stats.iterations, stats.iterations);
                     prop_assert_eq!(lane_stats.residual.to_bits(), stats.residual.to_bits());
+                    // Same probe sequence, hence the same work counts.
+                    prop_assert!(stats.phi_solves > 0);
+                    prop_assert_eq!(lane_stats.phi_solves, stats.phi_solves);
+                    prop_assert_eq!(lane_stats.br_fallbacks, stats.br_fallbacks);
                     for (a, b) in lw.subsidies_of(l, n).iter().zip(ws.subsidies()) {
                         prop_assert_eq!(a.to_bits(), b.to_bits());
                     }
